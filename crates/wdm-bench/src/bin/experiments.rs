@@ -142,9 +142,9 @@ fn main() {
 /// * `legacy` — what the engine did before the persistent structure:
 ///   clone the residual network (`restrict`) and run the full Theorem-1
 ///   construction + search per request;
-/// * `rebuild` — the engine's [`wdm_rwa::RoutingMode::RebuildPerRequest`]
-///   reference: reconstruct the persistent structure per request, then
-///   run the identical masked search (the bit-identity baseline of the
+/// * `rebuild` — [`wdm_rwa::SpecEngine`], the executable specification:
+///   reconstruct the persistent structure per request, then run the
+///   identical masked search (the bit-identity reference of the
 ///   conformance suite);
 /// * `masked` — the hot path: one persistent auxiliary graph, busy bits
 ///   flipped in place, one masked Dijkstra per request.
@@ -153,7 +153,7 @@ fn main() {
 /// `main` together with E14's).
 fn e13(quick: bool) -> Vec<String> {
     use wdm_core::Semilightpath;
-    use wdm_rwa::{Policy, ProvisioningEngine, RoutingMode};
+    use wdm_rwa::{Policy, ProvisioningEngine, SpecEngine};
     println!("\n## E13 — provisioning hot path: masked vs rebuild-per-request\n");
     println!("| n | k | legacy µs/req | rebuild µs/req | masked µs/req | speedup vs legacy | legacy allocs/req | masked allocs/req | alloc ratio |");
     println!("|---|---|---|---|---|---|---|---|---|");
@@ -206,23 +206,35 @@ fn e13(quick: bool) -> Vec<String> {
                 }
             }
         };
-        // slots: 0 = legacy, 1 = rebuild mode, 2 = masked mode.
+        // The rebuild-per-request spec over the same churn.
+        let spec_churn = |spec: &mut SpecEngine| {
+            let mut ids = Vec::new();
+            for &(s, t) in &pairs {
+                if let Ok(id) = spec.provision(s, t, Policy::Optimal) {
+                    ids.push(id);
+                }
+            }
+            for id in ids {
+                spec.release(id).expect("active");
+            }
+        };
+        // slots: 0 = legacy, 1 = rebuild spec, 2 = masked engine.
         let mut secs_of = [0.0f64; 3];
         let mut allocs_of = [0.0f64; 3];
         secs_of[0] = min_time(iters, || legacy_churn(&mut busy));
         let before = alloc_counter::count();
         legacy_churn(&mut busy);
         allocs_of[0] = (alloc_counter::count() - before) as f64 / requests as f64;
-        for (slot, mode) in [
-            (1, RoutingMode::RebuildPerRequest),
-            (2, RoutingMode::Masked),
-        ] {
-            let mut engine = ProvisioningEngine::with_mode(&net, mode);
-            secs_of[slot] = min_time(iters, || churn(&mut engine));
-            let before = alloc_counter::count();
-            churn(&mut engine);
-            allocs_of[slot] = (alloc_counter::count() - before) as f64 / requests as f64;
-        }
+        let mut spec = SpecEngine::new(&net);
+        secs_of[1] = min_time(iters, || spec_churn(&mut spec));
+        let before = alloc_counter::count();
+        spec_churn(&mut spec);
+        allocs_of[1] = (alloc_counter::count() - before) as f64 / requests as f64;
+        let mut engine = ProvisioningEngine::new(&net);
+        secs_of[2] = min_time(iters, || churn(&mut engine));
+        let before = alloc_counter::count();
+        churn(&mut engine);
+        allocs_of[2] = (alloc_counter::count() - before) as f64 / requests as f64;
         let per_req = |s: f64| s * 1e6 / requests as f64;
         let speedup = secs_of[0] / secs_of[2].max(f64::MIN_POSITIVE);
         let alloc_ratio = allocs_of[0] / allocs_of[2].max(f64::MIN_POSITIVE);
@@ -254,8 +266,8 @@ fn e13(quick: bool) -> Vec<String> {
         "\nshape check: masked beats the legacy clone-and-rebuild hot path by well over 5x in \
          throughput and 10x in allocations per request, and the gap widens with n·k — one \
          bounded Dijkstra per request vs a network clone plus the full O(k²n + km) \
-         construction. The rebuild column is the engine's bit-identity reference \
-         (provisioning_conformance pins masked == rebuild hop for hop)."
+         construction. The rebuild column is SpecEngine, the bit-identity reference \
+         (provisioning_conformance pins engine == spec hop for hop)."
     );
     records
 }
@@ -272,7 +284,7 @@ fn e13(quick: bool) -> Vec<String> {
 /// `BENCH_provisioning.json`.
 fn e14(quick: bool) -> Vec<String> {
     use wdm_obs::MetricsRegistry;
-    use wdm_rwa::{Policy, ProvisioningEngine, RoutingMode};
+    use wdm_rwa::{Policy, ProvisioningEngine};
     println!("\n## E14 — observability overhead on the masked hot path\n");
     println!("| n | k | baseline µs/req | instrumented µs/req | overhead |");
     println!("|---|---|---|---|---|");
@@ -305,9 +317,9 @@ fn e14(quick: bool) -> Vec<String> {
                 engine.release(id).expect("active");
             }
         };
-        let mut baseline = ProvisioningEngine::with_mode(&net, RoutingMode::Masked);
+        let mut baseline = ProvisioningEngine::new(&net);
         let registry = MetricsRegistry::new();
-        let mut instrumented = ProvisioningEngine::with_mode(&net, RoutingMode::Masked);
+        let mut instrumented = ProvisioningEngine::new(&net);
         instrumented.attach_metrics(&registry);
         // Interleave the two series so slow frequency / scheduler drift
         // hits both equally instead of biasing whichever ran second.
@@ -363,7 +375,7 @@ fn e14(quick: bool) -> Vec<String> {
 /// (conflicts + yields under forced interleaving), not a speedup claim.
 /// Records append to `BENCH_provisioning.json`.
 fn e15(quick: bool) -> Vec<String> {
-    use wdm_rwa::{ConcurrentEngine, Policy, ProvisioningEngine, RoutingMode};
+    use wdm_rwa::{ConcurrentEngine, Policy, ProvisioningEngine};
     println!("\n## E15 — sharded concurrent engine vs single-threaded masked path\n");
     println!(
         "| n | k | masked µs/req | concurrent(1T) µs/req | ratio | 4T µs/req | conflicts(4T) |"
@@ -387,7 +399,7 @@ fn e15(quick: bool) -> Vec<String> {
             })
             .collect();
 
-        let mut masked = ProvisioningEngine::with_mode(&net, RoutingMode::Masked);
+        let mut masked = ProvisioningEngine::new(&net);
         let conc = ConcurrentEngine::new(&net, 0);
         let mut handle = conc.handle();
         // Interleave the two series (same rationale as E14).
@@ -498,7 +510,7 @@ fn e15(quick: bool) -> Vec<String> {
 /// `BENCH_provisioning.json`.
 fn e17(quick: bool) -> Vec<String> {
     use wdm_obs::trace::FlightRecorder;
-    use wdm_rwa::{Policy, ProvisioningEngine, RoutingMode};
+    use wdm_rwa::{Policy, ProvisioningEngine};
     println!("\n## E17 — tracing overhead on the masked hot path\n");
     println!("| n | k | detached µs/req | recording µs/req | recording tax |");
     println!("|---|---|---|---|---|");
@@ -530,9 +542,9 @@ fn e17(quick: bool) -> Vec<String> {
                 engine.release(id).expect("active");
             }
         };
-        let mut detached = ProvisioningEngine::with_mode(&net, RoutingMode::Masked);
+        let mut detached = ProvisioningEngine::new(&net);
         let recorder = FlightRecorder::new(1, 1 << 16);
-        let mut recording = ProvisioningEngine::with_mode(&net, RoutingMode::Masked);
+        let mut recording = ProvisioningEngine::new(&net);
         recording.attach_tracer(&recorder);
         // Interleave the two series (same rationale as E14).
         let mut detached_secs = f64::INFINITY;

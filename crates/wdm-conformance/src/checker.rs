@@ -4,13 +4,15 @@
 //! serial order of its operations that (a) respects real time — an
 //! operation whose response preceded another's invocation stays before
 //! it — and (b) reproduces every observed response *exactly* when
-//! replayed through a fresh single-threaded
-//! [`ProvisioningEngine`](wdm_rwa::ProvisioningEngine): accept/block
-//! verdicts, hop-for-hop paths, blocked-cause counts, and fibre-cut
-//! restoration outcomes.
+//! replayed through a fresh [`SpecEngine`] — the
+//! rebuild-per-request specification, which shares no state-machine
+//! code with the engine under test: accept/block verdicts, hop-for-hop
+//! paths, blocked-cause counts, and fibre-cut restoration outcomes.
 //!
 //! Exact matching is sound here because both engines run the same
-//! deterministic router: the concurrent engine only commits a path
+//! deterministic router over the same graph construction (the spec
+//! rebuilds it per query, the engine masks it in place), so ties break
+//! identically: the concurrent engine only commits a path
 //! after validating that *every* shard version is unchanged since its
 //! route, so its commit order is itself a serial execution the
 //! reference reproduces bit-for-bit. The checker merely has to find
@@ -28,17 +30,11 @@ use crate::history::{History, OpKind, OpRecord, OpResponse};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use wdm_core::WdmNetwork;
-use wdm_rwa::{BlockCause, ConnectionId, ProvisioningEngine, RoutingMode, RwaError};
+use wdm_rwa::{BlockCause, ConnectionId, RwaError, SpecEngine};
 
 /// Checker tuning.
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
-    /// Reference engine mode. [`RoutingMode::RebuildPerRequest`] replays
-    /// every candidate step through the from-scratch Theorem-1
-    /// construction (maximal independence, slower);
-    /// [`RoutingMode::Masked`] is bit-identical (the conformance suite
-    /// of `wdm-rwa` holds the two equal) and fast enough for soak runs.
-    pub mode: RoutingMode,
     /// Abort after this many replay attempts (guards pathological
     /// histories; aborts are reported, never silently passed).
     pub max_replays: u64,
@@ -47,7 +43,6 @@ pub struct CheckConfig {
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
-            mode: RoutingMode::RebuildPerRequest,
             max_replays: 2_000_000,
         }
     }
@@ -100,7 +95,7 @@ pub fn check_history(net: &WdmNetwork, history: &History, cfg: &CheckConfig) -> 
         best_prefix: 0,
         witness: Vec::with_capacity(n),
     };
-    let engine = ProvisioningEngine::with_mode(net, cfg.mode);
+    let engine = SpecEngine::new(net);
     let mut done = vec![false; n];
     match search.dfs(&engine, &mut done, 0, &HashMap::new()) {
         Outcome::Found => Verdict::Linearizable {
@@ -135,7 +130,7 @@ struct Search<'a> {
 impl<'a> Search<'a> {
     fn dfs(
         &mut self,
-        engine: &ProvisioningEngine,
+        engine: &SpecEngine,
         done: &mut Vec<bool>,
         done_count: usize,
         idmap: &HashMap<ConnectionId, ConnectionId>,
@@ -207,7 +202,7 @@ fn done_words(done: &[bool]) -> Vec<u64> {
 /// steer routing). Omitting the failed set would be unsound: the same
 /// active paths with different links cut route — and block — very
 /// differently.
-fn fingerprint(engine: &ProvisioningEngine, idmap: &HashMap<ConnectionId, ConnectionId>) -> u64 {
+fn fingerprint(engine: &SpecEngine, idmap: &HashMap<ConnectionId, ConnectionId>) -> u64 {
     let mut entries: Vec<(ConnectionId, Vec<(usize, usize)>)> = idmap
         .iter()
         .filter_map(|(&conc, &serial)| {
@@ -232,7 +227,7 @@ fn fingerprint(engine: &ProvisioningEngine, idmap: &HashMap<ConnectionId, Connec
 /// Replays one record on the reference engine; `true` iff the reference
 /// reproduces the observed response exactly.
 fn replay(
-    engine: &mut ProvisioningEngine,
+    engine: &mut SpecEngine,
     idmap: &mut HashMap<ConnectionId, ConnectionId>,
     rec: &OpRecord,
 ) -> bool {

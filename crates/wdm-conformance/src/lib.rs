@@ -5,7 +5,7 @@
 //! every history of concurrent `provision` / `release` / `fail_link` /
 //! `restore_link` calls is **linearizable**: equivalent to *some*
 //! serial execution of
-//! the same operations on the single-threaded reference engine, one
+//! the same operations on the reference specification, one
 //! that respects real time (an operation that finished before another
 //! started must come first). This crate is the gate for that claim,
 //! in two halves:
@@ -22,10 +22,9 @@
 //! 2. [`checker`] — a Wing–Gong style search. Given the recorded
 //!    history, it enumerates candidate serial orders consistent with
 //!    the real-time partial order, replaying each through a fresh
-//!    reference [`wdm_rwa::ProvisioningEngine`] (in
-//!    [`wdm_rwa::RoutingMode::RebuildPerRequest`] for full
-//!    independence, or the bit-identical masked mode for speed) and
-//!    pruning with a memo of visited (linearized-set, engine-state)
+//!    [`wdm_rwa::SpecEngine`] (plain data, rebuilding the routing
+//!    structure per query, sharing no state-machine code with the
+//!    engine under test) and pruning with a memo of visited (linearized-set, engine-state)
 //!    configurations. The history passes iff some order reproduces
 //!    every observed response exactly — accept/block verdicts, hop-for-
 //!    hop paths, blocked-cause splits, and restoration outcomes.

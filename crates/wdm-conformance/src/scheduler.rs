@@ -149,7 +149,7 @@ pub fn run_workload(net: &WdmNetwork, cfg: &WorkloadConfig) -> History {
                 } else if !pool.is_empty() && rng.gen_bool(cfg.release_bias) {
                     let id = pool.swap_remove(rng.gen_range(0..pool.len()));
                     let op = OpKind::Release { id };
-                    th.slot = Slot::Release(ReleaseTxn::new(id), op, invoked_at);
+                    th.slot = Slot::Release(ReleaseTxn::new(&engine, id), op, invoked_at);
                 } else {
                     let &(s, t) = &pairs[rng.gen_range(0..pairs.len())];
                     let op = OpKind::Provision {

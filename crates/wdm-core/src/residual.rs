@@ -606,17 +606,6 @@ impl PersistentAuxGraph {
         PersistentAuxGraph { state, scratch }
     }
 
-    /// The shareable state half, e.g. to seed a concurrent engine.
-    pub fn state(&self) -> &ResidualState {
-        &self.state
-    }
-
-    /// Consumes the bundle, yielding the state half (the scratch is
-    /// rebuilt per thread via [`SearchScratch::for_state`]).
-    pub fn into_state(self) -> ResidualState {
-        self.state
-    }
-
     /// Borrows both halves at once, for callers that route through the
     /// state API directly while holding the bundle.
     pub fn split_mut(&mut self) -> (&ResidualState, &mut SearchScratch) {
@@ -626,11 +615,6 @@ impl PersistentAuxGraph {
     /// The persistent `G_all` structure.
     pub fn aux(&self) -> &AuxiliaryGraph {
         self.state.aux()
-    }
-
-    /// The base network's global wavelength count `k`.
-    pub fn k(&self) -> usize {
-        self.state.k()
     }
 
     /// Marks `(link, λ)` busy (`true`) or free (`false`) in place; see
@@ -677,43 +661,6 @@ impl PersistentAuxGraph {
     /// [`SearchScratch::take_search_totals`].
     pub fn take_search_totals(&mut self) -> crate::SearchStats {
         self.scratch.take_search_totals()
-    }
-
-    /// Free-network reachability probe; see
-    /// [`ResidualState::reachable_when_free`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range.
-    pub fn reachable_when_free(&mut self, s: NodeId, t: NodeId) -> bool {
-        self.state.reachable_when_free(&mut self.scratch, s, t)
-    }
-
-    /// Single-wavelength free-network reachability probe; see
-    /// [`ResidualState::reachable_when_free_single_wavelength`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range.
-    pub fn reachable_when_free_single_wavelength(&mut self, s: NodeId, t: NodeId) -> bool {
-        self.state
-            .reachable_when_free_single_wavelength(&mut self.scratch, s, t)
-    }
-
-    /// Cheapest single-wavelength path on `lambda`; see
-    /// [`ResidualState::route_single_wavelength`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint or `lambda` is out of range.
-    pub fn route_single_wavelength(
-        &mut self,
-        s: NodeId,
-        t: NodeId,
-        lambda: Wavelength,
-    ) -> Option<Semilightpath> {
-        self.state
-            .route_single_wavelength(&mut self.scratch, s, t, lambda)
     }
 }
 
@@ -899,23 +846,24 @@ mod tests {
     #[test]
     fn single_wavelength_routes_respect_masks() {
         let net = chain();
-        let mut residual = PersistentAuxGraph::new(&net);
-        let p = residual
-            .route_single_wavelength(0.into(), 2.into(), Wavelength::new(0))
+        let mut state = ResidualState::new(&net);
+        let mut scratch = SearchScratch::for_state(&state);
+        let p = state
+            .route_single_wavelength(&mut scratch, 0.into(), 2.into(), Wavelength::new(0))
             .expect("λ0 free");
         assert_eq!(p.cost(), Cost::new(20));
         assert!(p.is_lightpath());
-        residual.set_busy(LinkId::new(1), Wavelength::new(0), true);
-        assert!(residual
-            .route_single_wavelength(0.into(), 2.into(), Wavelength::new(0))
+        state.set_busy(LinkId::new(1), Wavelength::new(0), true);
+        assert!(state
+            .route_single_wavelength(&mut scratch, 0.into(), 2.into(), Wavelength::new(0))
             .is_none());
-        let alt = residual
-            .route_single_wavelength(0.into(), 2.into(), Wavelength::new(1))
+        let alt = state
+            .route_single_wavelength(&mut scratch, 0.into(), 2.into(), Wavelength::new(1))
             .expect("λ1 free");
         assert_eq!(alt.cost(), Cost::new(24));
         // s == t mirrors the legacy routine's None.
-        assert!(residual
-            .route_single_wavelength(1.into(), 1.into(), Wavelength::new(0))
+        assert!(state
+            .route_single_wavelength(&mut scratch, 1.into(), 1.into(), Wavelength::new(0))
             .is_none());
     }
 
@@ -963,10 +911,11 @@ mod tests {
         residual.set_busy(LinkId::new(0), Wavelength::new(0), true);
         residual.set_busy(LinkId::new(0), Wavelength::new(1), true);
         assert!(residual.route_optimal(0.into(), 2.into()).is_none());
-        assert!(residual.reachable_when_free(0.into(), 2.into()));
+        let (state, scratch) = residual.split_mut();
+        assert!(state.reachable_when_free(scratch, 0.into(), 2.into()));
         // Node 2 has no outgoing links: blocked by topology.
-        assert!(!residual.reachable_when_free(2.into(), 0.into()));
-        assert!(residual.reachable_when_free(1.into(), 1.into()));
+        assert!(!state.reachable_when_free(scratch, 2.into(), 0.into()));
+        assert!(state.reachable_when_free(scratch, 1.into(), 1.into()));
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Semilightpaths: routes with per-link wavelength assignments.
 
 use crate::{Cost, RouteError, Wavelength, WdmNetwork};
-use serde::{Deserialize, Serialize};
 use wdm_graph::{LinkId, NodeId};
 
 /// One step of a semilightpath: a link together with the wavelength the
 /// path uses on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Hop {
     /// The traversed link.
     pub link: LinkId,
@@ -25,7 +24,7 @@ pub struct Hop {
 /// Values of this type are produced by the solvers; [`Semilightpath::validate`]
 /// re-checks every model constraint against a network, which the test suite
 /// uses as an end-to-end oracle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Semilightpath {
     hops: Vec<Hop>,
     cost: Cost,

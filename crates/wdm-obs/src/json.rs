@@ -99,12 +99,20 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a single line of `[[[[…` sized
+/// to the input limit overflows the parsing thread's stack; anything
+/// this module or its callers exchange nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed,
-/// trailing garbage rejected).
+/// trailing garbage rejected, nesting deeper than [`MAX_DEPTH`]
+/// rejected).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -137,6 +145,8 @@ pub fn escape_into(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -177,8 +187,11 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -186,6 +199,17 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one nesting level down.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -352,6 +376,18 @@ mod tests {
             Some("c")
         );
         assert_eq!(v.get("d"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
+        // Far past the limit, unterminated: rejected at the limit, not
+        // by exhausting the stack.
+        let err = parse(&"[{\"a\":".repeat(100_000)).expect_err("too deep");
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]

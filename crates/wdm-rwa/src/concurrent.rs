@@ -1,15 +1,20 @@
-//! The sharded concurrent provisioning engine: optimistic provisioning
-//! over one shared [`ResidualState`], serialized per wavelength class by
-//! seqlock version counters.
+//! The provisioning engine: optimistic provisioning over one shared
+//! [`ResidualState`], serialized per wavelength class by seqlock version
+//! counters.
 //!
 //! wdm-lint: protocol: seqlock
 //!
 //! # Design
 //!
-//! The single-threaded [`ProvisioningEngine`](crate::ProvisioningEngine)
-//! owns its residual structure outright; this engine instead shares one
-//! [`ResidualState`] (whose busy masks are atomic words) among any number
-//! of threads and layers a **sharded seqlock** on top:
+//! This module is the crate's only implementation of provisioning
+//! state: busy masks, the active-connection table, the failed-link set,
+//! the blocked-cause memo and the outcome counters all live in one
+//! `Shared` value. The serial
+//! [`ProvisioningEngine`](crate::ProvisioningEngine) is a thin wrapper
+//! around one [`ConcurrentHandle`]; the daemon's serial backend drives
+//! the same transactions behind a mutex. The engine shares one
+//! [`ResidualState`] (whose busy masks are atomic words) among any
+//! number of threads and layers a **sharded seqlock** on top:
 //!
 //! * wavelengths are partitioned into `S` shards (`shard = λ mod S`),
 //!   each guarded by one version counter (`AtomicU64`, odd = writer in
@@ -19,7 +24,7 @@
 //!   `v → v + 1`, ascending shard order) and *validates* that every
 //!   untouched shard still holds its original version. Success proves
 //!   the mask the route saw was a consistent global snapshot and is
-//!   still current, so the path is exactly what the sequential engine
+//!   still current, so the path is exactly what a sequential engine
 //!   would have picked at that instant; the bits are flipped and the
 //!   claimed shards published at `v + 2`. Any version mismatch —
 //!   somebody committed or is mid-commit — rolls back the claims,
@@ -46,44 +51,82 @@
 //! # Stepped execution
 //!
 //! Every operation is a state machine ([`ProvisionTxn`], [`ReleaseTxn`],
-//! [`FailLinkTxn`]) advanced by `step()` calls; the blocking methods on
-//! [`ConcurrentHandle`] just drive the machine to completion. The
-//! `wdm-conformance` harness instead interleaves many machines from one
-//! real thread under a seeded scheduler, which is what makes concurrent
-//! histories replayable: no step ever holds an OS lock or spins
-//! internally — contention is reported as [`Step::Contended`] and
-//! retried on the next step.
+//! [`FailLinkTxn`], [`RestoreLinkTxn`]) advanced by `step()` calls; the
+//! blocking methods on [`ConcurrentHandle`] just drive the machine to
+//! completion. The `wdm-conformance` harness instead interleaves many
+//! machines from one real thread under a seeded scheduler, which is what
+//! makes concurrent histories replayable: no step ever holds an OS lock
+//! across steps or spins internally — contention is reported as
+//! [`Step::Contended`] and retried on the next step.
 //!
-//! On a blocked verdict the engine classifies the cause exactly like the
-//! single-threaded engine, memoized in an **epoch/snapshot** map: the
-//! epoch advances whenever the failed-link set changes (a fibre is cut
-//! by [`FailLinkTxn`] or repaired by [`RestoreLinkTxn`]), entries are
-//! tagged with the epoch they were probed under, and readers clone an
-//! `Arc` snapshot of the map so the hot path never holds the map lock
-//! across a probe.
+//! On a blocked verdict the engine classifies the cause — topology-
+//! blocked (`no_path`) when the pair is unroutable even on the free
+//! network minus the failed links, occupancy-blocked (`capacity`)
+//! otherwise — through an **epoch-tagged memo**: the epoch advances
+//! whenever the failed-link set or the conversion layout changes (a
+//! fibre is cut by [`FailLinkTxn`], repaired by [`RestoreLinkTxn`], or a
+//! converter is placed by [`ConcurrentHandle::set_converter_policy`]),
+//! entries are tagged with the epoch they were probed under, and a
+//! stale entry is re-probed, never trusted. The probe itself runs
+//! outside the memo lock.
+//!
+//! # Observability
+//!
+//! [`ConcurrentEngine::attach_metrics`] and
+//! [`ConcurrentEngine::attach_tracer`] are write-once hooks; detached
+//! engines pay one branch per operation. Teardowns inside a cut count as
+//! releases and restorations count as provisions, so
+//! `requests_total == accepted_total + blocked_total` always holds.
 
-use crate::metrics::BlockCause;
+use crate::metrics::{BlockCause, EngineMetrics};
 use crate::policy::Policy;
 use crate::{ConnectionId, RwaError};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Instant;
 use wdm_core::{
-    AcquireOutcome, ResidualState, SearchScratch, Semilightpath, Wavelength, WdmNetwork,
+    AcquireOutcome, ConversionPolicy, Hop, ResidualState, SearchScratch, Semilightpath, Wavelength,
+    WdmNetwork,
 };
 use wdm_graph::{LinkId, NodeId};
 use wdm_obs::ordering::{fence_acquire, ACQUIRE, ACQ_REL, RELAXED, RELEASE};
 use wdm_obs::trace::{FlightRecorder, RootVerdict, TraceEventKind, TraceId, TraceWriter};
+use wdm_obs::MetricsRegistry;
 
 /// Locks a mutex, recovering the data from a poisoned lock. Every
 /// guarded section in this module performs a single map operation (an
-/// insert, remove, or clone-out), so a panic mid-section cannot leave
-/// partial state behind and the data stays usable.
+/// insert, remove, lookup, or clone-out), so a panic mid-section cannot
+/// leave partial state behind and the data stays usable.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
+}
+
+/// Nanoseconds since `t0`, saturating at `u64::MAX`.
+fn ns_since(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// A collection size as a gauge value, saturating at `i64::MAX`.
+fn gauge_len(n: usize) -> i64 {
+    i64::try_from(n).unwrap_or(i64::MAX)
+}
+
+/// Debug builds run the `wdm-lint` model verifier over every network an
+/// engine routes on: Theorem 1 node/edge counts, gadget shape, tap
+/// costs, mask cross-index, and the Restriction 1/2 gates are checked
+/// against independent recomputation, and any finding aborts.
+#[cfg(debug_assertions)]
+fn verify_network(net: &WdmNetwork, label: &str) {
+    let findings = wdm_lint::verify_network(net, label);
+    debug_assert!(
+        findings.is_empty(),
+        "auxiliary-graph construction failed static verification:\n{}",
+        wdm_lint::render_text(&findings, std::path::Path::new("."))
+    );
 }
 
 /// Deliberate protocol corruption for conformance-harness validation.
@@ -118,12 +161,6 @@ pub enum RaceInjection {
 type MemoEntry = (u64, bool);
 type MemoKey = (NodeId, NodeId, bool);
 
-/// An accepted connection's bookkeeping.
-#[derive(Debug, Clone)]
-struct Connection {
-    path: Semilightpath,
-}
-
 /// The state shared by every handle and transaction of one engine.
 #[derive(Debug)]
 struct Shared {
@@ -132,9 +169,9 @@ struct Shared {
     /// Seqlock version counters, one per wavelength shard. Odd = a
     /// writer owns the shard's wavelengths.
     shards: Vec<AtomicU64>,
-    /// Active connections. Locked only *within* a single transaction
-    /// step, never across steps.
-    active: Mutex<HashMap<ConnectionId, Connection>>,
+    /// Active connections and their paths. Locked only *within* a
+    /// single transaction step, never across steps.
+    active: Mutex<HashMap<ConnectionId, Semilightpath>>,
     next_id: AtomicU64,
     accepted: AtomicU64,
     blocked: AtomicU64,
@@ -143,24 +180,28 @@ struct Shared {
     released: AtomicU64,
     /// Optimistic commits that failed validation and retried.
     conflicts: AtomicU64,
-    /// Advances every time the failed-link set changes; tags memo
-    /// entries so verdicts probed under another regime are re-probed.
+    /// Advances every time the free-network regime changes (the
+    /// failed-link set or the conversion layout); tags memo entries so
+    /// verdicts probed under another regime are re-probed.
     memo_epoch: AtomicU64,
     /// Links currently cut and not yet repaired, kept sorted. Mutated
     /// only by [`FailLinkTxn`] / [`RestoreLinkTxn`] while they hold
     /// every shard; read by blocked-cause classification (which locks
     /// only long enough to copy the set out).
     failed: Mutex<Vec<LinkId>>,
-    /// Blocked-cause memo behind a snapshot pointer: readers briefly
-    /// lock, clone the `Arc`, and probe against the immutable snapshot.
-    memo: Mutex<Arc<HashMap<MemoKey, MemoEntry>>>,
+    /// Blocked-cause memo. Readers lock for one lookup; a miss probes
+    /// unlocked and locks again for one insert.
+    memo: Mutex<HashMap<MemoKey, MemoEntry>>,
     /// Base (link, λ) resource count, for utilization.
     total_resources: usize,
     race: RaceInjection,
     /// The flight recorder, once attached. Write-once so transactions
     /// can read it with a single lock-free load; unset engines pay one
-    /// branch per transaction, same discipline as detached metrics.
+    /// branch per transaction.
     tracer: OnceLock<Arc<FlightRecorder>>,
+    /// The metric instruments, once attached; same write-once
+    /// discipline as `tracer`.
+    metrics: OnceLock<EngineMetrics>,
 }
 
 impl Shared {
@@ -180,13 +221,70 @@ impl Shared {
         touched
     }
 
+    /// A metrics clock start, when metrics are attached.
+    fn clock(&self) -> Option<Instant> {
+        self.metrics.get().map(|_| Instant::now())
+    }
+
+    /// One masked routing query on the shared residual state. The
+    /// search-kernel totals it cost are drained from `scratch` and, when
+    /// metrics are attached, flushed into the shared counters.
+    // wdm-lint: hot-path
+    fn route(
+        &self,
+        scratch: &mut SearchScratch,
+        s: NodeId,
+        t: NodeId,
+        policy: Policy,
+    ) -> Option<Semilightpath> {
+        let path = policy.route_shared(&self.state, scratch, s, t);
+        let search = scratch.take_search_totals();
+        if let Some(m) = self.metrics.get() {
+            m.flush_search(&search);
+        }
+        path
+    }
+
+    /// The residual network: base availability minus busy resources
+    /// (including the blanket markers of cut links). Materializes a
+    /// fresh [`WdmNetwork`] — the cost the masked hot path avoids.
+    fn residual_network(&self) -> WdmNetwork {
+        self.base.restrict(|link, w| !self.state.is_busy(link, w))
+    }
+
+    /// Debug-build cross-check of a masked answer against the legacy
+    /// clone-and-rebuild router ([`Policy::route`] on the residual
+    /// network): both must agree on the blocked verdict and the optimal
+    /// cost. (Under cost ties the two may pick different equal-cost
+    /// paths, so hop sequences are not compared; hop identity against
+    /// an independent reference is the conformance suite's job.) Only
+    /// meaningful while the masks are stable — callers assert the
+    /// answer once the commit has validated.
+    #[cfg(debug_assertions)]
+    fn legacy_agrees(
+        &self,
+        s: NodeId,
+        t: NodeId,
+        policy: Policy,
+        got: &Option<Semilightpath>,
+    ) -> bool {
+        let legacy = policy.route(&self.residual_network(), s, t);
+        match (got, &legacy) {
+            (Some(a), Some(b)) => a.cost() == b.cost() && a.is_empty() == b.is_empty(),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+
     /// Classifies a blocked request against the free network (minus the
-    /// currently failed links), through the epoch-tagged snapshot memo.
+    /// currently failed links), through the epoch-tagged memo.
     ///
     /// The epoch is read *before* the failed set is copied out: a
     /// concurrent cut/repair between the two bumps the epoch, so the
     /// entry this probe writes is already stale and will be re-probed —
-    /// a harmless extra probe, never a wrong cached verdict.
+    /// a harmless extra probe, never a wrong cached verdict. The probe
+    /// runs without the memo lock; an insert never replaces an entry
+    /// probed under a newer epoch.
     fn classify(
         &self,
         scratch: &mut SearchScratch,
@@ -195,15 +293,18 @@ impl Shared {
         policy: Policy,
     ) -> BlockCause {
         if s == t {
-            // The engine rejects s == t; capacity is irrelevant.
+            // The engine rejects s == t (an empty path carries nothing);
+            // no amount of capacity changes that.
             return BlockCause::NoPath;
         }
+        // LightpathOnly and FirstFit both route on a single wavelength
+        // end-to-end, so they share one memo class.
         let converts = matches!(policy, Policy::Optimal);
         let epoch = self.memo_epoch.load(ACQUIRE);
         let key = (s, t, converts);
-        let snapshot = Arc::clone(&lock(&self.memo));
-        let reachable = match snapshot.get(&key) {
-            Some(&(e, hit)) if e == epoch => hit,
+        let cached = lock(&self.memo).get(&key).copied();
+        let reachable = match cached {
+            Some((e, hit)) if e == epoch => hit,
             _ => {
                 let failed = lock(&self.failed).clone();
                 let probed = match (converts, failed.is_empty()) {
@@ -218,12 +319,13 @@ impl Shared {
                         .state
                         .reachable_when_free_single_wavelength_excluding(scratch, s, t, &failed),
                 };
+                // Probe work is classification, not request routing.
                 let _ = scratch.take_search_totals();
-                let mut guard = lock(&self.memo);
-                // Clone-on-write: concurrent readers keep their snapshot.
-                let mut next: HashMap<MemoKey, MemoEntry> = (**guard).clone();
-                next.insert(key, (epoch, probed));
-                *guard = Arc::new(next);
+                let mut memo = lock(&self.memo);
+                let entry = memo.entry(key).or_insert((epoch, probed));
+                if entry.0 <= epoch {
+                    *entry = (epoch, probed);
+                }
                 probed
             }
         };
@@ -234,12 +336,107 @@ impl Shared {
         }
     }
 
-    fn note_blocked(&self, cause: BlockCause) {
-        self.blocked.fetch_add(1, RELAXED);
-        match cause {
-            BlockCause::NoPath => self.blocked_no_path.fetch_add(1, RELAXED),
-            BlockCause::Capacity => self.blocked_capacity.fetch_add(1, RELAXED),
-        };
+    /// Accounts one decided request: the blocked counters (when
+    /// `cause` is set), the request counter and its latency.
+    fn note_request(&self, cause: Option<BlockCause>, started: Option<Instant>) {
+        if let Some(cause) = cause {
+            self.blocked.fetch_add(1, RELAXED);
+            match cause {
+                BlockCause::NoPath => self.blocked_no_path.fetch_add(1, RELAXED),
+                BlockCause::Capacity => self.blocked_capacity.fetch_add(1, RELAXED),
+            };
+        }
+        if let Some(m) = self.metrics.get() {
+            m.requests.inc();
+            if let Some(cause) = cause {
+                m.record_blocked(cause);
+            }
+            if let Some(t0) = started {
+                m.provision_latency.observe(ns_since(t0));
+            }
+        }
+    }
+
+    /// Accounts one effective busy-bit transition of `(link, λ)`: the
+    /// flip counter and occupancy gauges when metrics are attached, and
+    /// a `MaskFlip` instant under `trace`.
+    fn note_flip(&self, trace: Option<&TxnTrace>, link: LinkId, lambda: Wavelength, busy: bool) {
+        if let Some(m) = self.metrics.get() {
+            m.mask_flips.inc();
+            let delta = if busy { 1 } else { -1 };
+            m.occupied.add(delta);
+            m.link_occupancy[link.index()].add(delta);
+        }
+        if let Some(tr) = trace {
+            tr.writer.instant(
+                tr.id,
+                TraceEventKind::MaskFlip,
+                link.index() as u64,
+                lambda.index() as u64,
+            );
+        }
+    }
+
+    /// Acquires one hop whose shard the caller owns. With the shards
+    /// claimed and validated the bit must be free; only the injected
+    /// race can lose it (and ignores the loss — that is the bug the
+    /// harness must catch).
+    fn acquire_hop(&self, trace: Option<&TxnTrace>, hop: Hop) {
+        let outcome = self.state.try_acquire_shared(hop.link, hop.wavelength);
+        debug_assert!(
+            self.race == RaceInjection::SkipShardLock || outcome == AcquireOutcome::Acquired,
+            "owned shard lost a bit at ({}, {})",
+            hop.link,
+            hop.wavelength
+        );
+        if outcome == AcquireOutcome::Acquired {
+            self.note_flip(trace, hop.link, hop.wavelength, true);
+        }
+    }
+
+    /// Frees one owned hop.
+    fn release_hop(&self, trace: Option<&TxnTrace>, hop: Hop) {
+        let released = self.state.release_shared(hop.link, hop.wavelength);
+        debug_assert!(released, "released a hop the base does not carry");
+        self.note_flip(trace, hop.link, hop.wavelength, false);
+    }
+
+    /// Publishes an accepted connection on `path` (its bits already
+    /// flipped): allocates the id, inserts it into the active table,
+    /// and counts the acceptance.
+    fn commit_connection(&self, path: Semilightpath, started: Option<Instant>) -> ConnectionId {
+        let id = ConnectionId::from_raw(self.next_id.fetch_add(1, RELAXED));
+        let mut active = lock(&self.active);
+        active.insert(id, path);
+        if let Some(m) = self.metrics.get() {
+            m.accepted.inc();
+            m.active.set(gauge_len(active.len()));
+        }
+        drop(active);
+        self.accepted.fetch_add(1, RELAXED);
+        self.note_request(None, started);
+        id
+    }
+
+    /// Removes `id` from the active table, returning its path; counts
+    /// the release when it was present.
+    fn remove_connection(
+        &self,
+        id: ConnectionId,
+        started: Option<Instant>,
+    ) -> Option<Semilightpath> {
+        let mut active = lock(&self.active);
+        let path = active.remove(&id)?;
+        if let Some(m) = self.metrics.get() {
+            m.released.inc();
+            m.active.set(gauge_len(active.len()));
+            if let Some(t0) = started {
+                m.release_latency.observe(ns_since(t0));
+            }
+        }
+        drop(active);
+        self.released.fetch_add(1, RELAXED);
+        Some(path)
     }
 }
 
@@ -255,6 +452,18 @@ pub enum Step<T> {
     Contended,
 }
 
+/// Drives a transaction to completion, yielding on contention (the host
+/// has few cores; a spinning waiter on the holder's core is pure waste).
+fn drive<T>(mut step: impl FnMut() -> Step<T>) -> T {
+    loop {
+        match step() {
+            Step::Done(r) => return r,
+            Step::Progress => {}
+            Step::Contended => std::thread::yield_now(),
+        }
+    }
+}
+
 /// How one provision request concluded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProvisionOutcome {
@@ -268,8 +477,8 @@ pub enum ProvisionOutcome {
     },
     /// The request was blocked, with its cause classification.
     Blocked {
-        /// Topology- vs capacity-blocked, per the same rules as
-        /// [`ProvisioningEngine::blocked_by_cause`](crate::ProvisioningEngine::blocked_by_cause).
+        /// Topology- vs capacity-blocked, per
+        /// [`ConcurrentEngine::blocked_by_cause`].
         cause: BlockCause,
     },
 }
@@ -286,9 +495,9 @@ pub struct RestorationOutcome {
     pub cause: Option<BlockCause>,
 }
 
-/// The sharded concurrent provisioning engine. Cheaply cloneable; all
-/// clones share the same state. Each thread works through its own
-/// [`ConcurrentHandle`] (see [`ConcurrentEngine::handle`]).
+/// The provisioning engine. Cheaply cloneable; all clones share the same
+/// state. Each thread works through its own [`ConcurrentHandle`] (see
+/// [`ConcurrentEngine::handle`]).
 #[derive(Debug, Clone)]
 pub struct ConcurrentEngine {
     shared: Arc<Shared>,
@@ -306,6 +515,8 @@ impl ConcurrentEngine {
     /// [`ConcurrentEngine::new`] with a deliberate protocol corruption —
     /// conformance-harness use only (see [`RaceInjection`]).
     pub fn with_race_injection(base: &WdmNetwork, num_shards: usize, race: RaceInjection) -> Self {
+        #[cfg(debug_assertions)]
+        verify_network(base, "provisioning-engine");
         let k = base.k().max(1);
         let num_shards = if num_shards == 0 {
             k.min(8)
@@ -333,20 +544,54 @@ impl ConcurrentEngine {
                 conflicts: AtomicU64::new(0),
                 memo_epoch: AtomicU64::new(0),
                 failed: Mutex::new(Vec::new()),
-                memo: Mutex::new(Arc::new(HashMap::new())),
+                memo: Mutex::new(HashMap::new()),
                 total_resources,
                 race,
                 tracer: OnceLock::new(),
+                metrics: OnceLock::new(),
             }),
         }
     }
 
-    /// Attaches a flight recorder: every provision transaction from now
-    /// on records a per-request trace — the routing query as a span,
-    /// one instant per shard claim, the validation verdict, every
-    /// conflict retry, and a root span carrying the outcome. This is
-    /// what makes seqlock conflict churn visible *per request* instead
-    /// of only as the aggregate [`conflicts`](Self::conflicts) counter.
+    /// Attaches a metrics registry: from now on every provision /
+    /// release / fail_link / restore_link reports latency histograms,
+    /// outcome counters (blocked split by cause), search-kernel totals,
+    /// and occupancy gauges into `registry`'s shared instruments (see
+    /// the crate docs for the metric names). Gauges are seeded from the
+    /// current state, so attaching mid-run is coherent.
+    ///
+    /// Write-once: the first registry wins and later calls are ignored
+    /// (transactions read the cell lock-free mid-flight).
+    pub fn attach_metrics(&self, registry: &MetricsRegistry) {
+        if self.shared.metrics.get().is_some() {
+            return;
+        }
+        let shared = &self.shared;
+        let m = EngineMetrics::resolve(registry, shared.base.link_count());
+        m.active.set(gauge_len(self.active_count()));
+        let mut occupied = 0usize;
+        for (e, _) in shared.base.graph().links() {
+            let count = shared
+                .base
+                .wavelengths_on(e)
+                .iter()
+                .filter(|&(w, _)| shared.state.is_busy(e, w))
+                .count();
+            m.link_occupancy[e.index()].set(gauge_len(count));
+            occupied += count;
+        }
+        m.occupied.set(gauge_len(occupied));
+        let _ = shared.metrics.set(m);
+    }
+
+    /// Attaches a flight recorder: every transaction from now on records
+    /// a per-request trace. A provision records the routing query as a
+    /// span, one instant per shard claim and mask flip, the validation
+    /// verdict, every conflict retry, and a root span carrying the
+    /// outcome; releases, cuts and repairs record a root span plus
+    /// their mask flips. This is what makes seqlock conflict churn
+    /// visible *per request* instead of only as the aggregate
+    /// [`conflicts`](Self::conflicts) counter.
     ///
     /// Write-once: the first recorder wins and later calls are ignored
     /// (transactions read the cell lock-free mid-flight, so swapping
@@ -354,11 +599,6 @@ impl ConcurrentEngine {
     /// pay one branch per transaction.
     pub fn attach_tracer(&self, recorder: &Arc<FlightRecorder>) {
         let _ = self.shared.tracer.set(Arc::clone(recorder));
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn tracer(&self) -> Option<&Arc<FlightRecorder>> {
-        self.shared.tracer.get()
     }
 
     /// A per-thread handle bundling this engine with its own search
@@ -383,7 +623,8 @@ impl ConcurrentEngine {
         self.shared.state.busy_count()
     }
 
-    /// The base network the engine was created from.
+    /// The base network the engine routes on (including any converter
+    /// placed at runtime).
     pub fn base(&self) -> &WdmNetwork {
         &self.shared.base
     }
@@ -393,7 +634,9 @@ impl ConcurrentEngine {
         self.shared.shards.len()
     }
 
-    /// Totals so far: `(accepted, blocked, released)`.
+    /// Totals so far: `(accepted, blocked, released)`. Restorations
+    /// count as accepted or blocked requests and cut teardowns as
+    /// releases.
     pub fn totals(&self) -> (u64, u64, u64) {
         (
             self.shared.accepted.load(RELAXED),
@@ -402,8 +645,14 @@ impl ConcurrentEngine {
         )
     }
 
-    /// Blocked totals split by cause: `(no_path, capacity)`; same
-    /// semantics as the single-threaded engine's split.
+    /// Blocked totals split by cause: `(no_path, capacity)`.
+    ///
+    /// `no_path` counts requests whose pair is unroutable even with
+    /// every resource free (under the request's policy, on the network
+    /// minus the currently failed links — conversion-free policies can
+    /// be topology-blocked where [`Policy::Optimal`] would route);
+    /// `capacity` counts requests a free network would have carried.
+    /// The two always sum to the blocked total.
     pub fn blocked_by_cause(&self) -> (u64, u64) {
         (
             self.shared.blocked_no_path.load(RELAXED),
@@ -425,10 +674,11 @@ impl ConcurrentEngine {
 
     /// The path of an active connection (cloned out of the table).
     pub fn path_of(&self, id: ConnectionId) -> Option<Semilightpath> {
-        lock(&self.shared.active).get(&id).map(|c| c.path.clone())
+        lock(&self.shared.active).get(&id).cloned()
     }
 
-    /// Fraction of base (link, wavelength) resources currently busy.
+    /// Fraction of base (link, wavelength) resources currently busy
+    /// (cut links count as occupied until repaired).
     pub fn utilization(&self) -> f64 {
         if self.shared.total_resources == 0 {
             0.0
@@ -450,6 +700,15 @@ impl ConcurrentEngine {
         lock(&self.shared.failed).clone()
     }
 
+    /// The residual network: base availability minus busy resources.
+    ///
+    /// This materializes a fresh [`WdmNetwork`] clone — the cost the
+    /// masked hot path avoids. It remains the right tool for external
+    /// snapshots (racy mid-commit, exact at quiescence).
+    pub fn residual_network(&self) -> WdmNetwork {
+        self.shared.residual_network()
+    }
+
     fn shared(&self) -> &Shared {
         &self.shared
     }
@@ -457,8 +716,7 @@ impl ConcurrentEngine {
 
 /// A per-thread handle: the engine plus this thread's [`SearchScratch`].
 /// The blocking methods drive the transaction state machines to
-/// completion, yielding on contention (the host has few cores; a
-/// spinning waiter on the holder's core is pure waste).
+/// completion, yielding on contention.
 #[derive(Debug)]
 pub struct ConcurrentHandle {
     engine: ConcurrentEngine,
@@ -471,9 +729,8 @@ impl ConcurrentHandle {
         &self.engine
     }
 
-    /// Routes and, on success, locks `s → t` under `policy` — the
-    /// concurrent counterpart of
-    /// [`ProvisioningEngine::provision`](crate::ProvisioningEngine::provision).
+    /// Routes and, on success, locks `s → t` under `policy`, retrying
+    /// validation conflicts until a verdict commits.
     ///
     /// # Errors
     ///
@@ -486,17 +743,7 @@ impl ConcurrentHandle {
         t: NodeId,
         policy: Policy,
     ) -> Result<ConnectionId, RwaError> {
-        let mut txn = ProvisionTxn::new(&self.engine, s, t, policy)?;
-        loop {
-            match txn.step(&self.engine, &mut self.scratch) {
-                Step::Done(ProvisionOutcome::Accepted { id, .. }) => return Ok(id),
-                Step::Done(ProvisionOutcome::Blocked { .. }) => {
-                    return Err(RwaError::Blocked { s, t })
-                }
-                Step::Progress => {}
-                Step::Contended => std::thread::yield_now(),
-            }
-        }
+        self.provision_bounded(s, t, policy, u64::MAX)
     }
 
     /// [`provision`](Self::provision) with a bounded retry budget: the
@@ -527,13 +774,37 @@ impl ConcurrentHandle {
         policy: Policy,
         max_conflicts: u64,
     ) -> Result<ConnectionId, RwaError> {
-        let mut txn = ProvisionTxn::new(&self.engine, s, t, policy)?;
+        match self.provision_traced(s, t, policy, max_conflicts, None)? {
+            ProvisionOutcome::Accepted { id, .. } => Ok(id),
+            ProvisionOutcome::Blocked { .. } => Err(RwaError::Blocked { s, t }),
+        }
+    }
+
+    /// The full-outcome provision driver behind
+    /// [`provision_bounded`](Self::provision_bounded): a blocked request
+    /// resolves to [`ProvisionOutcome::Blocked`] with its cause, an
+    /// accepted one carries the committed path. When a recorder is
+    /// attached the request's trace records under `wire` (or a freshly
+    /// allocated id when `None`), so a daemon client that tagged its
+    /// request can find the exact trace in the exported Chrome JSON.
+    ///
+    /// # Errors
+    ///
+    /// * [`RwaError::NodeOutOfRange`] for invalid endpoints;
+    /// * [`RwaError::Contended`] when the retry budget is exhausted
+    ///   before any verdict commits.
+    pub fn provision_traced(
+        &mut self,
+        s: NodeId,
+        t: NodeId,
+        policy: Policy,
+        max_conflicts: u64,
+        wire: Option<TraceId>,
+    ) -> Result<ProvisionOutcome, RwaError> {
+        let mut txn = ProvisionTxn::new_traced(&self.engine, s, t, policy, wire)?;
         loop {
             match txn.step(&self.engine, &mut self.scratch) {
-                Step::Done(ProvisionOutcome::Accepted { id, .. }) => return Ok(id),
-                Step::Done(ProvisionOutcome::Blocked { .. }) => {
-                    return Err(RwaError::Blocked { s, t })
-                }
+                Step::Done(outcome) => return Ok(outcome),
                 Step::Progress => {}
                 Step::Contended => {
                     // A contended step never leaves shard claims behind,
@@ -559,21 +830,37 @@ impl ConcurrentHandle {
     ///
     /// [`RwaError::UnknownConnection`] if `id` is not active.
     pub fn release(&mut self, id: ConnectionId) -> Result<(), RwaError> {
-        let mut txn = ReleaseTxn::new(id);
-        loop {
-            match txn.step(&self.engine) {
-                Step::Done(r) => return r,
-                Step::Progress => {}
-                Step::Contended => std::thread::yield_now(),
-            }
-        }
+        self.release_traced(id, None)
     }
 
-    /// Simulates a fibre cut with restoration, like
-    /// [`ProvisioningEngine::fail_link`](crate::ProvisioningEngine::fail_link):
-    /// tears down every connection crossing `link`, restores each on the
-    /// residual network with the cut excluded, and returns the outcomes
-    /// in connection-id order.
+    /// [`release`](Self::release) with an explicit wire trace id; see
+    /// [`provision_traced`](Self::provision_traced). A release of an
+    /// unknown connection still records a root span, with the `failed`
+    /// verdict.
+    ///
+    /// # Errors
+    ///
+    /// [`RwaError::UnknownConnection`] if `id` is not active.
+    pub fn release_traced(
+        &mut self,
+        id: ConnectionId,
+        wire: Option<TraceId>,
+    ) -> Result<(), RwaError> {
+        let mut txn = ReleaseTxn::new_traced(&self.engine, id, wire);
+        drive(|| txn.step(&self.engine))
+    }
+
+    /// Simulates a fibre cut with restoration: tears down every
+    /// connection crossing `link`, re-routes each under `policy` on the
+    /// residual network with the cut excluded, and returns the affected
+    /// ids paired with their restoration outcome (`Some(new_id)` when
+    /// restored, `None` when lost), in connection-id order.
+    ///
+    /// The cut is **persistent**: the link's wavelengths stay marked
+    /// busy — and count as occupied in
+    /// [`utilization`](ConcurrentEngine::utilization) — until
+    /// [`restore_link`](Self::restore_link) repairs it. Failing an
+    /// already-failed link is an idempotent no-op returning nothing.
     ///
     /// # Panics
     ///
@@ -583,39 +870,187 @@ impl ConcurrentHandle {
         link: LinkId,
         policy: Policy,
     ) -> Vec<(ConnectionId, Option<ConnectionId>)> {
-        let mut txn = FailLinkTxn::new(&self.engine, link, policy);
-        loop {
-            match txn.step(&self.engine, &mut self.scratch) {
-                Step::Done(outcomes) => {
-                    return outcomes
-                        .into_iter()
-                        .map(|o| (o.torn, o.restored.map(|(id, _)| id)))
-                        .collect()
-                }
-                Step::Progress => {}
-                Step::Contended => std::thread::yield_now(),
-            }
-        }
+        self.fail_link_outcomes(link, policy)
+            .into_iter()
+            .map(|o| (o.torn, o.restored.map(|(id, _)| id)))
+            .collect()
     }
 
-    /// Repairs a fibre previously cut by [`fail_link`](Self::fail_link),
-    /// like
-    /// [`ProvisioningEngine::restore_link`](crate::ProvisioningEngine::restore_link):
+    /// [`fail_link`](Self::fail_link) with the full per-connection
+    /// outcomes: restored paths and the blocked cause of every lost
+    /// restoration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `link` is out of range.
+    pub fn fail_link_outcomes(&mut self, link: LinkId, policy: Policy) -> Vec<RestorationOutcome> {
+        let mut txn = FailLinkTxn::new(&self.engine, link, policy);
+        drive(|| txn.step(&self.engine, &mut self.scratch))
+    }
+
+    /// Repairs a fibre previously cut by [`fail_link`](Self::fail_link):
     /// returns `true` when the link was failed and is now restored,
-    /// `false` for the no-op repair of a healthy link.
+    /// `false` for the no-op repair of a healthy link (a blind unmark
+    /// would free resources held by active connections). Existing
+    /// connections are untouched either way — restoration re-routing
+    /// happens at cut time, not at repair time.
     ///
     /// # Panics
     ///
     /// Panics if `link` is out of range.
     pub fn restore_link(&mut self, link: LinkId) -> bool {
         let mut txn = RestoreLinkTxn::new(&self.engine, link);
-        loop {
-            match txn.step(&self.engine) {
-                Step::Done(restored) => return restored,
-                Step::Progress => {}
-                Step::Contended => std::thread::yield_now(),
+        drive(|| txn.step(&self.engine))
+    }
+
+    /// Adds (`enabled`) or removes (`enabled == false`) full-range
+    /// wavelength conversion at `node` — the runtime converter-placement
+    /// mutation behind sparse-placer searches. Shorthand for
+    /// [`set_converter_policy`](Self::set_converter_policy) with
+    /// [`ConversionPolicy::Free`] / [`ConversionPolicy::Forbidden`].
+    ///
+    /// # Errors
+    ///
+    /// [`RwaError::NodeOutOfRange`] if `node` is not a node of the base
+    /// network.
+    ///
+    /// # Panics
+    ///
+    /// See [`set_converter_policy`](Self::set_converter_policy).
+    pub fn set_converter(&mut self, node: NodeId, enabled: bool) -> Result<bool, RwaError> {
+        let policy = if enabled {
+            ConversionPolicy::Free
+        } else {
+            ConversionPolicy::Forbidden
+        };
+        self.set_converter_policy(node, policy)
+    }
+
+    /// Replaces the conversion policy at `node`, rebuilding the routing
+    /// structures around the new conversion gadget.
+    ///
+    /// Returns `Ok(true)` when the policy changed and `Ok(false)` for a
+    /// no-op (the node already had exactly this policy). On change:
+    ///
+    /// * the base network's policy is swapped and the residual state is
+    ///   rebuilt from it with every busy bit — including the blanket
+    ///   markers of cut links — replayed, so resource occupancy
+    ///   survives the mutation bit-for-bit;
+    /// * the memo epoch advances: free-network reachability verdicts
+    ///   probed under the old conversion layout are stale (a pair that
+    ///   was `no_path` without conversion may be routable with it, and
+    ///   vice versa) and are never trusted again.
+    ///
+    /// Active connections are grandfathered: their paths were valid when
+    /// provisioned and their resources stay locked; removing a converter
+    /// does not tear down connections that used it.
+    ///
+    /// # Errors
+    ///
+    /// [`RwaError::NodeOutOfRange`] if `node` is not a node of the base
+    /// network.
+    ///
+    /// # Panics
+    ///
+    /// The rebuild needs exclusive access: panics on an actual change
+    /// while another handle or clone of this engine is alive.
+    pub fn set_converter_policy(
+        &mut self,
+        node: NodeId,
+        policy: ConversionPolicy,
+    ) -> Result<bool, RwaError> {
+        let base = &self.engine.shared().base;
+        if node.index() >= base.node_count() {
+            return Err(RwaError::NodeOutOfRange(node));
+        }
+        if *base.conversion_at(node) == policy {
+            return Ok(false);
+        }
+        let exclusive = Arc::get_mut(&mut self.engine.shared);
+        assert!(
+            exclusive.is_some(),
+            "set_converter_policy needs exclusive access: another handle or clone shares this engine"
+        );
+        let Some(shared) = exclusive else {
+            unreachable!("exclusive access asserted above")
+        };
+        shared.base.set_conversion_at(node, policy);
+        #[cfg(debug_assertions)]
+        verify_network(&shared.base, "set-converter");
+        // Conversion gadgets are baked into the auxiliary graph at
+        // construction; a policy change is a structural mutation, so
+        // the state is rebuilt and the busy bits replayed.
+        let mut state = ResidualState::new(&shared.base);
+        for (e, _) in shared.base.graph().links() {
+            for (w, _) in shared.base.wavelengths_on(e).iter() {
+                if shared.state.is_busy(e, w) {
+                    state.set_busy(e, w, true);
+                }
             }
         }
+        shared.state = state;
+        *shared.memo_epoch.get_mut() += 1;
+        self.scratch = SearchScratch::for_state(&shared.state);
+        Ok(true)
+    }
+}
+
+/// The trace bookkeeping one traced transaction carries: its writer,
+/// its id, when the operation started, and when the current routing
+/// attempt started.
+#[derive(Debug)]
+struct TxnTrace {
+    writer: TraceWriter,
+    id: TraceId,
+    start_ns: u64,
+    route_start: u64,
+}
+
+impl TxnTrace {
+    /// Starts a trace under `wire` (or a fresh id) when the engine has a
+    /// recorder attached.
+    fn start(shared: &Shared, wire: Option<TraceId>) -> Option<TxnTrace> {
+        shared.tracer.get().map(|rec| {
+            let writer = rec.writer();
+            let id = wire.unwrap_or_else(|| rec.next_trace_id());
+            let start_ns = writer.now_ns();
+            TxnTrace {
+                writer,
+                id,
+                start_ns,
+                route_start: 0,
+            }
+        })
+    }
+
+    /// Emits the root span and feeds the tail sampler.
+    fn finish(&self, kind: TraceEventKind, verdict: RootVerdict, a: u64, b: u64) {
+        let dur = self
+            .writer
+            .span(self.id, kind, self.start_ns, verdict.code(), a, b);
+        self.writer.recorder().note_root(self.id, dur, verdict);
+    }
+
+    /// Emits the routing query's span, started at `route_start`.
+    fn route_span(&self, s: NodeId, t: NodeId) {
+        self.writer.span(
+            self.id,
+            TraceEventKind::Route,
+            self.route_start,
+            0,
+            s.index() as u64,
+            t.index() as u64,
+        );
+    }
+
+    /// Emits the blocked-cause instant.
+    fn blocked(&self, cause: BlockCause) {
+        let code = match cause {
+            BlockCause::NoPath => 0,
+            BlockCause::Capacity => 1,
+        };
+        self.writer
+            .instant(self.id, TraceEventKind::Blocked, code, 0);
     }
 }
 
@@ -653,32 +1088,13 @@ pub struct ProvisionTxn {
     phase: ProvisionPhase,
     /// Per-request trace state when the engine has a recorder attached.
     trace: Option<TxnTrace>,
-}
-
-/// The trace bookkeeping one traced transaction carries: its writer,
-/// its id, when the request started, and when the current routing
-/// attempt started.
-#[derive(Debug)]
-struct TxnTrace {
-    writer: TraceWriter,
-    id: TraceId,
-    start_ns: u64,
-    route_start: u64,
-}
-
-impl TxnTrace {
-    /// Emits the root span and feeds the tail sampler.
-    fn finish(&self, s: NodeId, t: NodeId, verdict: RootVerdict) {
-        let dur = self.writer.span(
-            self.id,
-            TraceEventKind::Provision,
-            self.start_ns,
-            verdict.code(),
-            s.index() as u64,
-            t.index() as u64,
-        );
-        self.writer.recorder().note_root(self.id, dur, verdict);
-    }
+    /// Latency clock start when the engine has metrics attached.
+    started: Option<Instant>,
+    /// Whether the last routing attempt agreed with the legacy router;
+    /// asserted once the attempt's verdict commits (validated, so the
+    /// masks both routers read were stable).
+    #[cfg(debug_assertions)]
+    legacy_agrees: bool,
 }
 
 impl ProvisionTxn {
@@ -711,34 +1127,27 @@ impl ProvisionTxn {
         policy: Policy,
         wire: Option<TraceId>,
     ) -> Result<Self, RwaError> {
+        let shared = engine.shared();
         for v in [s, t] {
-            if v.index() >= engine.shared().base.node_count() {
+            if v.index() >= shared.base.node_count() {
                 return Err(RwaError::NodeOutOfRange(v));
             }
         }
-        let trace = engine.shared().tracer.get().map(|rec| {
-            let writer = rec.writer();
-            let id = wire.unwrap_or_else(|| rec.next_trace_id());
-            let start_ns = writer.now_ns();
-            TxnTrace {
-                writer,
-                id,
-                start_ns,
-                route_start: 0,
-            }
-        });
         Ok(ProvisionTxn {
             s,
             t,
             policy,
-            versions: vec![0; engine.shared().shards.len()],
+            versions: vec![0; shared.shards.len()],
             path: None,
             touched: Vec::new(),
             claimed: 0,
             flipped: 0,
             conflicts: 0,
             phase: ProvisionPhase::ReadVersions,
-            trace,
+            trace: TxnTrace::start(shared, wire),
+            started: shared.clock(),
+            #[cfg(debug_assertions)]
+            legacy_agrees: true,
         })
     }
 
@@ -749,8 +1158,18 @@ impl ProvisionTxn {
     /// The driver must only call this after a [`Step::Contended`], when
     /// the transaction holds no shard claims.
     pub fn trace_abandon(&self) {
+        self.finish_trace(RootVerdict::Contended);
+    }
+
+    /// Emits the request's root span with `verdict` (no-op untraced).
+    fn finish_trace(&self, verdict: RootVerdict) {
         if let Some(tr) = &self.trace {
-            tr.finish(self.s, self.t, RootVerdict::Contended);
+            tr.finish(
+                TraceEventKind::Provision,
+                verdict,
+                self.s.index() as u64,
+                self.t.index() as u64,
+            );
         }
     }
 
@@ -763,6 +1182,16 @@ impl ProvisionTxn {
         self.conflicts
     }
 
+    /// Counts one validation conflict (and traces it).
+    fn note_conflict(&mut self, shared: &Shared) {
+        shared.conflicts.fetch_add(1, RELAXED);
+        self.conflicts += 1;
+        if let Some(tr) = &self.trace {
+            tr.writer
+                .instant(tr.id, TraceEventKind::ShardRetry, self.conflicts, 0);
+        }
+    }
+
     /// Rolls claimed shards back to their pre-claim versions (no bits
     /// were flipped yet, so restoring the even value is exact) and
     /// restarts the optimistic loop.
@@ -770,16 +1199,40 @@ impl ProvisionTxn {
         for &sh in &self.touched[..self.claimed] {
             shared.shards[sh].store(self.versions[sh], RELEASE);
         }
-        shared.conflicts.fetch_add(1, RELAXED);
-        self.conflicts += 1;
-        if let Some(tr) = &self.trace {
-            tr.writer
-                .instant(tr.id, TraceEventKind::ShardRetry, self.conflicts, 0);
-        }
+        self.note_conflict(shared);
         self.claimed = 0;
         self.path = None;
         self.touched.clear();
         self.phase = ProvisionPhase::ReadVersions;
+    }
+
+    /// Debug builds: the committed verdict must match the legacy router.
+    fn check_legacy(&self, shared: &Shared) {
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            shared.race != RaceInjection::None || self.legacy_agrees,
+            "masked vs legacy-rebuild verdict or cost mismatch for {} -> {} under {}",
+            self.s,
+            self.t,
+            self.policy
+        );
+        let _ = shared;
+    }
+
+    /// Commits the blocked verdict: classification, counters, trace.
+    fn conclude_blocked(
+        &mut self,
+        shared: &Shared,
+        scratch: &mut SearchScratch,
+    ) -> Step<ProvisionOutcome> {
+        let cause = shared.classify(scratch, self.s, self.t, self.policy);
+        shared.note_request(Some(cause), self.started);
+        if let Some(tr) = &self.trace {
+            tr.blocked(cause);
+        }
+        self.finish_trace(RootVerdict::Blocked);
+        self.phase = ProvisionPhase::Done;
+        Step::Done(ProvisionOutcome::Blocked { cause })
     }
 
     /// Advances the transaction by one step. Call until [`Step::Done`];
@@ -807,48 +1260,30 @@ impl ProvisionTxn {
                 if let Some(tr) = &mut self.trace {
                     tr.route_start = tr.writer.now_ns();
                 }
-                let path = self
-                    .policy
-                    .route_shared(&shared.state, scratch, self.s, self.t);
+                let path = shared.route(scratch, self.s, self.t, self.policy);
                 if let Some(tr) = &self.trace {
-                    tr.writer.span(
-                        tr.id,
-                        TraceEventKind::Route,
-                        tr.route_start,
-                        0,
-                        self.s.index() as u64,
-                        self.t.index() as u64,
-                    );
+                    tr.route_span(self.s, self.t);
                 }
+                #[cfg(debug_assertions)]
+                {
+                    self.legacy_agrees = shared.legacy_agrees(self.s, self.t, self.policy, &path);
+                }
+                let skip_lock = shared.race == RaceInjection::SkipShardLock;
                 match path {
                     Some(p) if !p.is_empty() => {
                         self.touched = shared.touched_shards(&p);
                         self.path = Some(p);
                         self.claimed = 0;
-                        self.phase = if shared.race == RaceInjection::SkipShardLock {
+                        self.phase = if skip_lock {
                             // Injected race: commit on the racy read.
                             ProvisionPhase::Flip
                         } else {
                             ProvisionPhase::Claim
                         };
                     }
-                    _ => {
-                        // Empty paths (s == t) block like the
-                        // single-threaded engine.
-                        self.phase = if shared.race == RaceInjection::SkipShardLock {
-                            ProvisionPhase::Done
-                        } else {
-                            ProvisionPhase::CommitBlocked
-                        };
-                        if matches!(self.phase, ProvisionPhase::Done) {
-                            let cause = shared.classify(scratch, self.s, self.t, self.policy);
-                            shared.note_blocked(cause);
-                            if let Some(tr) = &self.trace {
-                                tr.finish(self.s, self.t, RootVerdict::Blocked);
-                            }
-                            return Step::Done(ProvisionOutcome::Blocked { cause });
-                        }
-                    }
+                    // Empty paths (s == t) block too.
+                    _ if skip_lock => return self.conclude_blocked(shared, scratch),
+                    _ => self.phase = ProvisionPhase::CommitBlocked,
                 }
                 Step::Progress
             }
@@ -901,18 +1336,10 @@ impl ProvisionTxn {
                 let Some(path) = self.path.as_ref() else {
                     unreachable!("flip phase always holds a path")
                 };
-                let hop = path.hops()[self.flipped];
-                let outcome = shared.state.try_acquire_shared(hop.link, hop.wavelength);
-                // With the shards claimed and validated the bit must be
-                // free; only the injected race can lose it (and ignores
-                // the loss — that is the bug the harness must catch).
-                debug_assert!(
-                    shared.race == RaceInjection::SkipShardLock
-                        || outcome == AcquireOutcome::Acquired,
-                    "owned shard lost a bit at ({}, {})",
-                    hop.link,
-                    hop.wavelength
-                );
+                if self.flipped == 0 {
+                    self.check_legacy(shared);
+                }
+                shared.acquire_hop(self.trace.as_ref(), path.hops()[self.flipped]);
                 self.flipped += 1;
                 if self.flipped == path.hops().len() {
                     self.phase = ProvisionPhase::Publish;
@@ -923,17 +1350,13 @@ impl ProvisionTxn {
                 let Some(path) = self.path.take() else {
                     unreachable!("publish phase always holds a path")
                 };
-                let id = ConnectionId::from_raw(shared.next_id.fetch_add(1, RELAXED));
-                lock(&shared.active).insert(id, Connection { path: path.clone() });
-                shared.accepted.fetch_add(1, RELAXED);
+                let id = shared.commit_connection(path.clone(), self.started);
                 if shared.race != RaceInjection::SkipShardLock {
                     for &sh in &self.touched {
                         shared.shards[sh].store(self.versions[sh] + 2, RELEASE);
                     }
                 }
-                if let Some(tr) = &self.trace {
-                    tr.finish(self.s, self.t, RootVerdict::Ok);
-                }
+                self.finish_trace(RootVerdict::Ok);
                 self.phase = ProvisionPhase::Done;
                 Step::Done(ProvisionOutcome::Accepted { id, path })
             }
@@ -946,27 +1369,12 @@ impl ProvisionTxn {
                         .enumerate()
                         .all(|(i, shard)| shard.load(RELAXED) == self.versions[i]);
                 if !consistent {
-                    shared.conflicts.fetch_add(1, RELAXED);
-                    self.conflicts += 1;
-                    if let Some(tr) = &self.trace {
-                        tr.writer
-                            .instant(tr.id, TraceEventKind::ShardRetry, self.conflicts, 0);
-                    }
+                    self.note_conflict(shared);
                     self.phase = ProvisionPhase::ReadVersions;
                     return Step::Contended;
                 }
-                let cause = shared.classify(scratch, self.s, self.t, self.policy);
-                shared.note_blocked(cause);
-                if let Some(tr) = &self.trace {
-                    let code = match cause {
-                        BlockCause::NoPath => 0,
-                        BlockCause::Capacity => 1,
-                    };
-                    tr.writer.instant(tr.id, TraceEventKind::Blocked, code, 0);
-                    tr.finish(self.s, self.t, RootVerdict::Blocked);
-                }
-                self.phase = ProvisionPhase::Done;
-                Step::Done(ProvisionOutcome::Blocked { cause })
+                self.check_legacy(shared);
+                self.conclude_blocked(shared, scratch)
             }
             ProvisionPhase::Done => unreachable!("stepped a finished transaction"),
         }
@@ -1010,11 +1418,20 @@ pub struct ReleaseTxn {
     claimed: usize,
     flipped: usize,
     phase: ReleasePhase,
+    trace: Option<TxnTrace>,
+    started: Option<Instant>,
 }
 
 impl ReleaseTxn {
     /// Starts a release transaction for `id`.
-    pub fn new(id: ConnectionId) -> Self {
+    pub fn new(engine: &ConcurrentEngine, id: ConnectionId) -> Self {
+        Self::new_traced(engine, id, None)
+    }
+
+    /// [`new`](Self::new) with an explicit wire trace id (see
+    /// [`ProvisionTxn::new_traced`]).
+    pub fn new_traced(engine: &ConcurrentEngine, id: ConnectionId, wire: Option<TraceId>) -> Self {
+        let shared = engine.shared();
         ReleaseTxn {
             id,
             path: None,
@@ -1023,7 +1440,23 @@ impl ReleaseTxn {
             claimed: 0,
             flipped: 0,
             phase: ReleasePhase::Lookup,
+            trace: TxnTrace::start(shared, wire),
+            started: shared.clock(),
         }
+    }
+
+    /// Concludes the transaction with `result`, emitting its root span.
+    fn finish(&mut self, result: Result<(), RwaError>) -> Step<Result<(), RwaError>> {
+        if let Some(tr) = &self.trace {
+            let verdict = if result.is_ok() {
+                RootVerdict::Ok
+            } else {
+                RootVerdict::Failed
+            };
+            tr.finish(TraceEventKind::Release, verdict, self.id.as_u64(), 0);
+        }
+        self.phase = ReleasePhase::Done;
+        Step::Done(result)
     }
 
     /// Advances the transaction by one step.
@@ -1031,19 +1464,17 @@ impl ReleaseTxn {
         let shared = engine.shared();
         match self.phase {
             ReleasePhase::Lookup => {
-                let conn = lock(&shared.active).get(&self.id).cloned();
-                match conn {
-                    Some(c) => {
-                        self.touched = shared.touched_shards(&c.path);
-                        self.claim_base = vec![0; self.touched.len()];
-                        self.path = Some(c.path);
+                let touched = lock(&shared.active)
+                    .get(&self.id)
+                    .map(|path| shared.touched_shards(path));
+                match touched {
+                    Some(touched) => {
+                        self.claim_base = vec![0; touched.len()];
+                        self.touched = touched;
                         self.phase = ReleasePhase::Claim;
                         Step::Progress
                     }
-                    None => {
-                        self.phase = ReleasePhase::Done;
-                        Step::Done(Err(RwaError::UnknownConnection(self.id)))
-                    }
+                    None => self.finish(Err(RwaError::UnknownConnection(self.id))),
                 }
             }
             ReleasePhase::Claim => {
@@ -1066,8 +1497,10 @@ impl ReleaseTxn {
                 }
             }
             ReleasePhase::Commit => {
-                let present = lock(&shared.active).remove(&self.id).is_some();
-                if present {
+                // Ids are never reused, so the path removed here is the
+                // one whose shards we claimed.
+                self.path = shared.remove_connection(self.id, self.started);
+                if self.path.is_some() {
                     self.phase = ReleasePhase::Flip;
                     Step::Progress
                 } else {
@@ -1077,17 +1510,14 @@ impl ReleaseTxn {
                     for (i, &sh) in self.touched.iter().enumerate().take(self.claimed) {
                         shared.shards[sh].store(self.claim_base[i], RELEASE);
                     }
-                    self.phase = ReleasePhase::Done;
-                    Step::Done(Err(RwaError::UnknownConnection(self.id)))
+                    self.finish(Err(RwaError::UnknownConnection(self.id)))
                 }
             }
             ReleasePhase::Flip => {
                 let Some(path) = self.path.as_ref() else {
                     unreachable!("flip phase always holds a path")
                 };
-                let hop = path.hops()[self.flipped];
-                let released = shared.state.release_shared(hop.link, hop.wavelength);
-                debug_assert!(released, "released a hop the base does not carry");
+                shared.release_hop(self.trace.as_ref(), path.hops()[self.flipped]);
                 self.flipped += 1;
                 if self.flipped == path.hops().len() {
                     self.phase = ReleasePhase::Publish;
@@ -1098,9 +1528,7 @@ impl ReleaseTxn {
                 for (i, &sh) in self.touched.iter().enumerate() {
                     shared.shards[sh].store(self.claim_base[i] + 2, RELEASE);
                 }
-                shared.released.fetch_add(1, RELAXED);
-                self.phase = ReleasePhase::Done;
-                Step::Done(Ok(()))
+                self.finish(Ok(()))
             }
             ReleasePhase::Done => unreachable!("stepped a finished transaction"),
         }
@@ -1122,14 +1550,13 @@ enum FailLinkPhase {
 /// A stepped fibre-cut transaction. Claims **every** shard (ascending —
 /// the same global order provisions and releases use, so claim cycles
 /// cannot form), then runs the teardown → mark → restore sequence
-/// exclusively, exactly mirroring the single-threaded
-/// [`fail_link`](crate::ProvisioningEngine::fail_link). The cut is
-/// persistent: the link's wavelengths stay marked busy and the link
-/// stays in the failed set until a [`RestoreLinkTxn`] repairs it; the
-/// memo epoch advances with every such regime change so blocked-cause
-/// verdicts probed under one failed-link set are never reused under
-/// another. Cutting an already-failed link is an idempotent no-op (no
-/// teardown, no epoch churn, empty outcomes).
+/// exclusively. The cut is persistent: the link's wavelengths stay
+/// marked busy and the link stays in the failed set until a
+/// [`RestoreLinkTxn`] repairs it; the memo epoch advances with every
+/// such regime change so blocked-cause verdicts probed under one
+/// failed-link set are never reused under another. Cutting an
+/// already-failed link is an idempotent no-op (no teardown, no epoch
+/// churn, empty outcomes, nothing metered or traced).
 #[derive(Debug)]
 pub struct FailLinkTxn {
     link: LinkId,
@@ -1140,7 +1567,11 @@ pub struct FailLinkTxn {
     torn: usize,
     restored: usize,
     outcomes: Vec<RestorationOutcome>,
+    /// Whether the link was healthy when the snapshot ran.
+    cut: bool,
     phase: FailLinkPhase,
+    trace: Option<TxnTrace>,
+    started: Option<Instant>,
 }
 
 impl FailLinkTxn {
@@ -1150,20 +1581,24 @@ impl FailLinkTxn {
     ///
     /// Panics if `link` is out of range.
     pub fn new(engine: &ConcurrentEngine, link: LinkId, policy: Policy) -> Self {
+        let shared = engine.shared();
         assert!(
-            link.index() < engine.shared().base.link_count(),
+            link.index() < shared.base.link_count(),
             "link {link} out of range"
         );
         FailLinkTxn {
             link,
             policy,
-            claim_base: vec![0; engine.shared().shards.len()],
+            claim_base: vec![0; shared.shards.len()],
             claimed: 0,
             affected: Vec::new(),
             torn: 0,
             restored: 0,
             outcomes: Vec::new(),
+            cut: false,
             phase: FailLinkPhase::ClaimAll,
+            trace: TxnTrace::start(shared, None),
+            started: shared.clock(),
         }
     }
 
@@ -1209,6 +1644,7 @@ impl FailLinkTxn {
                     failed.push(self.link);
                     failed.sort();
                 }
+                self.cut = true;
                 // The failed set is updated *before* the epoch advances:
                 // a classifier that acquires the new epoch is guaranteed
                 // (release/acquire on memo_epoch) to also see the new
@@ -1218,8 +1654,8 @@ impl FailLinkTxn {
                 let active = lock(&shared.active);
                 let mut affected: Vec<(ConnectionId, Semilightpath)> = active
                     .iter()
-                    .filter(|(_, c)| c.path.hops().iter().any(|h| h.link == self.link))
-                    .map(|(&id, c)| (id, c.path.clone()))
+                    .filter(|(_, p)| p.hops().iter().any(|h| h.link == self.link))
+                    .map(|(&id, p)| (id, p.clone()))
                     .collect();
                 drop(active);
                 affected.sort_by_key(|&(id, _)| id);
@@ -1232,13 +1668,13 @@ impl FailLinkTxn {
                     self.phase = FailLinkPhase::MarkCut;
                     return Step::Progress;
                 }
+                let started = shared.clock();
                 let (id, path) = &self.affected[self.torn];
-                lock(&shared.active).remove(id);
-                for hop in path.hops() {
-                    let released = shared.state.release_shared(hop.link, hop.wavelength);
-                    debug_assert!(released, "active path hop missing from base");
+                if shared.remove_connection(*id, started).is_some() {
+                    for &hop in path.hops() {
+                        shared.release_hop(self.trace.as_ref(), hop);
+                    }
                 }
-                shared.released.fetch_add(1, RELAXED);
                 self.torn += 1;
                 Step::Progress
             }
@@ -1255,6 +1691,9 @@ impl FailLinkTxn {
                         "cut link ({}, {lam}) still held after teardown",
                         self.link
                     );
+                    if got == AcquireOutcome::Acquired {
+                        shared.note_flip(self.trace.as_ref(), self.link, lam, true);
+                    }
                 }
                 self.phase = FailLinkPhase::Restore;
                 Step::Progress
@@ -1264,33 +1703,45 @@ impl FailLinkTxn {
                     self.phase = FailLinkPhase::PublishAll;
                     return Step::Progress;
                 }
-                let (torn_id, old_path) = self.affected[self.restored].clone();
+                let (torn, old_path) = &self.affected[self.restored];
                 let (Some(s), Some(t)) =
                     (old_path.source(&shared.base), old_path.target(&shared.base))
                 else {
                     unreachable!("active paths are non-empty")
                 };
-                let routed = self.policy.route_shared(&shared.state, scratch, s, t);
+                let started = shared.clock();
+                if let Some(tr) = &mut self.trace {
+                    tr.route_start = tr.writer.now_ns();
+                }
+                let routed = shared.route(scratch, s, t, self.policy);
+                if let Some(tr) = &self.trace {
+                    tr.route_span(s, t);
+                }
+                #[cfg(debug_assertions)]
+                debug_assert!(
+                    shared.legacy_agrees(s, t, self.policy, &routed),
+                    "masked vs legacy-rebuild restoration mismatch for {s} -> {t}"
+                );
                 let outcome = match routed {
                     Some(path) if !path.is_empty() => {
-                        for hop in path.hops() {
-                            let got = shared.state.try_acquire_shared(hop.link, hop.wavelength);
-                            debug_assert_eq!(got, AcquireOutcome::Acquired);
+                        for &hop in path.hops() {
+                            shared.acquire_hop(self.trace.as_ref(), hop);
                         }
-                        let id = ConnectionId::from_raw(shared.next_id.fetch_add(1, RELAXED));
-                        lock(&shared.active).insert(id, Connection { path: path.clone() });
-                        shared.accepted.fetch_add(1, RELAXED);
+                        let id = shared.commit_connection(path.clone(), started);
                         RestorationOutcome {
-                            torn: torn_id,
+                            torn: *torn,
                             restored: Some((id, path)),
                             cause: None,
                         }
                     }
                     _ => {
                         let cause = shared.classify(scratch, s, t, self.policy);
-                        shared.note_blocked(cause);
+                        shared.note_request(Some(cause), started);
+                        if let Some(tr) = &self.trace {
+                            tr.blocked(cause);
+                        }
                         RestorationOutcome {
-                            torn: torn_id,
+                            torn: *torn,
                             restored: None,
                             cause: Some(cause),
                         }
@@ -1303,6 +1754,17 @@ impl FailLinkTxn {
             FailLinkPhase::PublishAll => {
                 for (sh, shard) in shared.shards.iter().enumerate() {
                     shard.store(self.claim_base[sh] + 2, RELEASE);
+                }
+                if let (true, Some(m), Some(t0)) = (self.cut, shared.metrics.get(), self.started) {
+                    m.fail_link_latency.observe(ns_since(t0));
+                }
+                if let (true, Some(tr)) = (self.cut, &self.trace) {
+                    tr.finish(
+                        TraceEventKind::FailLink,
+                        RootVerdict::Ok,
+                        self.link.index() as u64,
+                        self.outcomes.len() as u64,
+                    );
                 }
                 self.phase = FailLinkPhase::Done;
                 Step::Done(std::mem::take(&mut self.outcomes))
@@ -1337,6 +1799,8 @@ pub struct RestoreLinkTxn {
     claimed: usize,
     restored: bool,
     phase: RestorePhase,
+    trace: Option<TxnTrace>,
+    started: Option<Instant>,
 }
 
 impl RestoreLinkTxn {
@@ -1346,16 +1810,19 @@ impl RestoreLinkTxn {
     ///
     /// Panics if `link` is out of range.
     pub fn new(engine: &ConcurrentEngine, link: LinkId) -> Self {
+        let shared = engine.shared();
         assert!(
-            link.index() < engine.shared().base.link_count(),
+            link.index() < shared.base.link_count(),
             "link {link} out of range"
         );
         RestoreLinkTxn {
             link,
-            claim_base: vec![0; engine.shared().shards.len()],
+            claim_base: vec![0; shared.shards.len()],
             claimed: 0,
             restored: false,
             phase: RestorePhase::ClaimAll,
+            trace: TxnTrace::start(shared, None),
+            started: shared.clock(),
         }
     }
 
@@ -1400,9 +1867,10 @@ impl RestoreLinkTxn {
                     // it), so releasing every carried λ un-flips
                     // precisely the bits the cut flipped.
                     for lambda in 0..shared.base.k() {
-                        shared
-                            .state
-                            .release_shared(self.link, Wavelength::new(lambda));
+                        let lam = Wavelength::new(lambda);
+                        if shared.state.release_shared(self.link, lam) {
+                            shared.note_flip(self.trace.as_ref(), self.link, lam, false);
+                        }
                     }
                     // Set first, then epoch — same publication order as
                     // the cut, for the same memo-correctness reason.
@@ -1416,6 +1884,19 @@ impl RestoreLinkTxn {
                 for (sh, shard) in shared.shards.iter().enumerate() {
                     shard.store(self.claim_base[sh] + 2, RELEASE);
                 }
+                if let (true, Some(m), Some(t0)) =
+                    (self.restored, shared.metrics.get(), self.started)
+                {
+                    m.restore_link_latency.observe(ns_since(t0));
+                }
+                if let (true, Some(tr)) = (self.restored, &self.trace) {
+                    tr.finish(
+                        TraceEventKind::FailLink,
+                        RootVerdict::Ok,
+                        self.link.index() as u64,
+                        0,
+                    );
+                }
                 self.phase = RestorePhase::Done;
                 Step::Done(self.restored)
             }
@@ -1427,8 +1908,8 @@ impl RestoreLinkTxn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProvisioningEngine, RoutingMode};
-    use wdm_core::{ConversionPolicy, Cost};
+    use crate::SpecEngine;
+    use wdm_core::Cost;
     use wdm_graph::DiGraph;
 
     fn base() -> WdmNetwork {
@@ -1444,13 +1925,13 @@ mod tests {
 
     #[test]
     fn single_threaded_run_matches_sequential_engine() {
-        // Same script through the concurrent engine (1 handle) and the
-        // single-threaded engine: identical outcomes, paths, totals,
+        // Same script through the engine (1 handle) and the
+        // rebuild-per-request spec: identical outcomes, paths, totals,
         // cause splits, and utilization — and zero conflicts.
         let net = base();
         let conc = ConcurrentEngine::new(&net, 0);
         let mut h = conc.handle();
-        let mut seq = ProvisioningEngine::with_mode(&net, RoutingMode::Masked);
+        let mut seq = SpecEngine::new(&net);
         let script = [(0, 3), (0, 2), (3, 0), (1, 3), (0, 3), (2, 2)];
         let mut pairs = Vec::new();
         for (s, t) in script {
@@ -1482,7 +1963,7 @@ mod tests {
         let net = base();
         let conc = ConcurrentEngine::new(&net, 2);
         let mut h = conc.handle();
-        let mut seq = ProvisioningEngine::new(&net);
+        let mut seq = SpecEngine::new(&net);
         let a = h
             .provision(0.into(), 3.into(), Policy::Optimal)
             .expect("routes");

@@ -7,12 +7,17 @@
 //! until released, and requests that cannot be routed with the remaining
 //! resources are *blocked*. This crate turns that scenario into a library:
 //!
-//! * [`ProvisioningEngine`] — mutable (link, wavelength) resource state
-//!   over a base [`wdm_core::WdmNetwork`], with provision/release and
-//!   utilization accounting. The hot path routes on a persistent
-//!   [`wdm_core::PersistentAuxGraph`] through an in-place busy mask
-//!   (see [`RoutingMode`]) instead of rebuilding the auxiliary graph per
-//!   request;
+//! * [`ConcurrentEngine`] — the one implementation of mutable
+//!   (link, wavelength) resource state over a base
+//!   [`wdm_core::WdmNetwork`]: provision/release, fibre cut and repair,
+//!   runtime converter placement, blocked-cause classification and
+//!   utilization accounting, shared by any number of threads through a
+//!   sharded seqlock. Every request routes on one persistent auxiliary
+//!   graph through an in-place busy mask instead of rebuilding it;
+//! * [`ProvisioningEngine`] — the serial API: one [`ConcurrentHandle`]
+//!   driven from one thread;
+//! * [`SpecEngine`] — the executable specification the engine is checked
+//!   against: plain data, rebuilding the routing structure per query;
 //! * [`Policy`] — how a request is routed: the paper's optimal
 //!   semilightpath, pure lightpath routing (no conversion), or the classic
 //!   first-fit wavelength assignment baseline;
@@ -23,7 +28,7 @@
 //!
 //! # Observability
 //!
-//! [`ProvisioningEngine::attach_metrics`] wires an engine into a
+//! [`ConcurrentEngine::attach_metrics`] wires an engine into a
 //! [`wdm_obs::MetricsRegistry`]: latency histograms
 //! (`wdm_rwa_provision_latency_ns`, `wdm_rwa_release_latency_ns`,
 //! `wdm_rwa_fail_link_latency_ns`), outcome counters
@@ -67,6 +72,8 @@ pub mod concurrent;
 mod engine;
 mod metrics;
 mod policy;
+/// The rebuild-per-request executable specification ([`SpecEngine`]).
+pub mod spec;
 mod stats;
 /// Synthetic request/workload generators (Poisson arrivals, hotspots,
 /// failure scenarios).
@@ -76,4 +83,5 @@ pub use concurrent::{ConcurrentEngine, ConcurrentHandle, RaceInjection};
 pub use engine::{ConnectionId, ProvisioningEngine, RoutingMode, RwaError};
 pub use metrics::BlockCause;
 pub use policy::Policy;
+pub use spec::SpecEngine;
 pub use stats::{simulate, BlockingStats};

@@ -1,12 +1,12 @@
 //! Engine-side metric handles: the `Arc`'d instruments the provisioning
 //! hot path mutates, resolved once from a [`MetricsRegistry`].
 //!
-//! The engine keeps an `Option<EngineMetrics>`; when it is `None` (the
-//! default) the hot path pays a single branch per operation and nothing
-//! else. When attached, each mutation is a relaxed atomic — no locks,
-//! no allocation, no formatting — so masked provisioning throughput
-//! stays within noise of the unobserved engine (bench
-//! `e14_obs_overhead`).
+//! The engine keeps a write-once `OnceLock<EngineMetrics>`; while it is
+//! unset (the default) the hot path pays a single branch per operation
+//! and nothing else. When attached, each mutation is a relaxed atomic —
+//! no locks, no allocation, no formatting — so masked provisioning
+//! throughput stays within noise of the unobserved engine (experiment
+//! E14).
 
 use std::sync::Arc;
 use wdm_core::SearchStats;

@@ -2,8 +2,8 @@
 
 use wdm_core::csr::{CsrBuilder, EdgeRole};
 use wdm_core::{
-    dijkstra_with, Cost, HeapKind, Hop, LiangShenRouter, PersistentAuxGraph, ResidualState,
-    SearchScratch, Semilightpath, Wavelength, WdmNetwork,
+    dijkstra_with, Cost, HeapKind, Hop, LiangShenRouter, ResidualState, SearchScratch,
+    Semilightpath, Wavelength, WdmNetwork,
 };
 use wdm_graph::NodeId;
 
@@ -30,83 +30,26 @@ impl Policy {
     ///
     /// This is the rebuild-per-request path: every call reconstructs the
     /// search structures from scratch. The provisioning engine's hot loop
-    /// uses [`route_masked`](Self::route_masked) on a persistent graph
+    /// uses `route_shared` on a persistent graph
     /// instead and cross-checks against this routine under
     /// `debug_assertions`; call this directly when routing on a one-off
     /// network (or residual snapshot) outside an engine.
     pub fn route(self, network: &WdmNetwork, s: NodeId, t: NodeId) -> Option<Semilightpath> {
         match self {
             Policy::Optimal => LiangShenRouter::new().route(network, s, t).ok()?.path,
-            Policy::LightpathOnly => {
-                // Best single-wavelength shortest path over all λ.
-                let mut best: Option<Semilightpath> = None;
-                for lambda in 0..network.k() {
-                    if let Some(p) = single_wavelength_path(network, s, t, Wavelength::new(lambda))
-                    {
-                        if best.as_ref().map(|b| p.cost() < b.cost()).unwrap_or(true) {
-                            best = Some(p);
-                        }
-                    }
-                }
-                best
-            }
-            Policy::FirstFit => {
-                for lambda in 0..network.k() {
-                    if let Some(p) = single_wavelength_path(network, s, t, Wavelength::new(lambda))
-                    {
-                        return Some(p);
-                    }
-                }
-                None
-            }
+            _ => self.pick_wavelength(network.k(), |lambda| {
+                single_wavelength_path(network, s, t, lambda)
+            }),
         }
     }
 
-    /// Routes `s → t` on the persistent residual structure, returning
-    /// `None` when blocked.
+    /// Routes `s → t` on a [`ResidualState`] through a caller-owned
+    /// scratch, returning `None` when blocked.
     ///
-    /// Mirrors [`route`](Self::route) policy-for-policy — same wavelength
-    /// scan order, same strict-improvement best-path selection — but pays
-    /// zero construction: each candidate is one masked Dijkstra over
-    /// `residual`'s persistent graphs.
-    pub(crate) fn route_masked(
-        self,
-        residual: &mut PersistentAuxGraph,
-        s: NodeId,
-        t: NodeId,
-    ) -> Option<Semilightpath> {
-        match self {
-            Policy::Optimal => residual.route_optimal(s, t),
-            Policy::LightpathOnly => {
-                let mut best: Option<Semilightpath> = None;
-                for lambda in 0..residual.k() {
-                    if let Some(p) = residual.route_single_wavelength(s, t, Wavelength::new(lambda))
-                    {
-                        if best.as_ref().map(|b| p.cost() < b.cost()).unwrap_or(true) {
-                            best = Some(p);
-                        }
-                    }
-                }
-                best
-            }
-            Policy::FirstFit => {
-                for lambda in 0..residual.k() {
-                    if let Some(p) = residual.route_single_wavelength(s, t, Wavelength::new(lambda))
-                    {
-                        return Some(p);
-                    }
-                }
-                None
-            }
-        }
-    }
-
-    /// Routes `s → t` on a shared [`ResidualState`] through a
-    /// caller-owned scratch — the concurrent engine's flavour of
-    /// [`route_masked`](Self::route_masked), policy-for-policy
-    /// identical (same wavelength scan order, same strict-improvement
-    /// selection) so both engines make bit-identical decisions on the
-    /// same mask state.
+    /// Mirrors [`route`](Self::route) policy-for-policy — same
+    /// wavelength scan order, same strict-improvement best-path
+    /// selection — but pays zero construction: each candidate is one
+    /// masked Dijkstra over the state's persistent graphs.
     pub(crate) fn route_shared(
         self,
         state: &ResidualState,
@@ -116,30 +59,33 @@ impl Policy {
     ) -> Option<Semilightpath> {
         match self {
             Policy::Optimal => state.route_optimal(scratch, s, t),
-            Policy::LightpathOnly => {
-                let mut best: Option<Semilightpath> = None;
-                for lambda in 0..state.k() {
-                    if let Some(p) =
-                        state.route_single_wavelength(scratch, s, t, Wavelength::new(lambda))
-                    {
-                        if best.as_ref().map(|b| p.cost() < b.cost()).unwrap_or(true) {
-                            best = Some(p);
-                        }
-                    }
+            _ => self.pick_wavelength(state.k(), |lambda| {
+                state.route_single_wavelength(scratch, s, t, lambda)
+            }),
+        }
+    }
+
+    /// The single-wavelength policies' choice among the per-λ shortest
+    /// paths `route` yields, scanning λ in index order: the first
+    /// routable one for `FirstFit`, the strictly cheapest (earliest on
+    /// ties) for `LightpathOnly`.
+    fn pick_wavelength(
+        self,
+        k: usize,
+        mut route: impl FnMut(Wavelength) -> Option<Semilightpath>,
+    ) -> Option<Semilightpath> {
+        let mut best: Option<Semilightpath> = None;
+        for lambda in 0..k {
+            if let Some(p) = route(Wavelength::new(lambda)) {
+                if self == Policy::FirstFit {
+                    return Some(p);
                 }
-                best
-            }
-            Policy::FirstFit => {
-                for lambda in 0..state.k() {
-                    if let Some(p) =
-                        state.route_single_wavelength(scratch, s, t, Wavelength::new(lambda))
-                    {
-                        return Some(p);
-                    }
+                if best.as_ref().map(|b| p.cost() < b.cost()).unwrap_or(true) {
+                    best = Some(p);
                 }
-                None
             }
         }
+        best
     }
 
     /// Short display name for tables.
@@ -297,7 +243,8 @@ mod tests {
         for policy in [Policy::Optimal, Policy::LightpathOnly, Policy::FirstFit] {
             for s in 0..3usize {
                 for t in 0..3usize {
-                    let masked = policy.route_masked(&mut residual, s.into(), t.into());
+                    let (state, scratch) = residual.split_mut();
+                    let masked = policy.route_shared(state, scratch, s.into(), t.into());
                     let rebuilt = policy.route(&net, s.into(), t.into());
                     match (&masked, &rebuilt) {
                         (Some(a), Some(b)) => {

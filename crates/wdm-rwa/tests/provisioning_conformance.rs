@@ -1,14 +1,16 @@
-//! Masked-vs-rebuild conformance suite for the provisioning engine.
+//! Engine-vs-spec conformance suite.
 //!
-//! The engine's hot path routes every request over one persistent
-//! auxiliary graph through an in-place busy mask
-//! ([`wdm_rwa::RoutingMode::Masked`]); the reference mode reconstructs
-//! the same structure from scratch per request
-//! ([`wdm_rwa::RoutingMode::RebuildPerRequest`]). The contract is
+//! The production engine ([`wdm_rwa::ConcurrentEngine`], driven here
+//! through one handle) routes every request over one persistent
+//! auxiliary graph through an in-place busy mask; the reference
+//! [`wdm_rwa::SpecEngine`] is plain data that reconstructs the same
+//! structure from scratch per query and classifies blocked requests with
+//! the legacy clone-and-rebuild router. The contract is
 //! **bit-identical routing decisions**: same accept/block outcomes, same
-//! connection ids, hop-for-hop identical paths, same totals and
-//! utilization — across arbitrary interleavings of provision, release,
-//! and fail_link, for every policy.
+//! connection ids, hop-for-hop identical paths, same blocked-cause
+//! splits, totals and utilization — across arbitrary interleavings of
+//! provision, release, fail_link, restore_link and set_converter, for
+//! every policy, at one shard and at the automatic shard count.
 //!
 //! (In debug builds each provision additionally cross-checks the masked
 //! answer's cost and blocked verdict against the legacy
@@ -21,7 +23,7 @@ use rand::SeedableRng;
 use wdm_core::instance::{random_network, Availability, ConversionSpec, InstanceConfig};
 use wdm_core::WdmNetwork;
 use wdm_graph::{topology, LinkId, NodeId};
-use wdm_rwa::{Policy, ProvisioningEngine, RoutingMode};
+use wdm_rwa::{ConcurrentEngine, ConcurrentHandle, Policy, SpecEngine};
 
 fn instance(seed: u64, n: usize, k: usize, p: f64) -> WdmNetwork {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -47,10 +49,26 @@ fn policy_of(idx: u8) -> Policy {
     }
 }
 
-/// Replays one op on both engines and asserts bit-identical behaviour.
+/// Shard counts the production engine runs at: one global seqlock, and
+/// the automatic `min(k, 8)`.
+const SHARDS: [usize; 2] = [1, 0];
+
+/// Asserts the engine and the spec agree on every aggregate.
+fn same_aggregates(engine: &ConcurrentHandle, spec: &SpecEngine) -> Result<(), TestCaseError> {
+    let e = engine.engine();
+    prop_assert_eq!(e.totals(), spec.totals());
+    prop_assert_eq!(e.blocked_by_cause(), spec.blocked_by_cause());
+    prop_assert_eq!(e.active_count(), spec.active_count());
+    prop_assert_eq!(e.utilization(), spec.utilization());
+    prop_assert_eq!(e.failed_links(), spec.failed_links());
+    Ok(())
+}
+
+/// Replays one op on the engine and the spec and asserts bit-identical
+/// behaviour.
 fn step(
-    masked: &mut ProvisioningEngine,
-    rebuild: &mut ProvisioningEngine,
+    engine: &mut ConcurrentHandle,
+    spec: &mut SpecEngine,
     live: &mut Vec<wdm_rwa::ConnectionId>,
     op: (u8, u64, u64),
     n: usize,
@@ -63,13 +81,13 @@ fn step(
         0..=4 => {
             let s = NodeId::new((a % n as u64) as usize);
             let t = NodeId::new((b % n as u64) as usize);
-            let got = masked.provision(s, t, policy);
-            let want = rebuild.provision(s, t, policy);
+            let got = engine.provision(s, t, policy);
+            let want = spec.provision(s, t, policy);
             prop_assert_eq!(&got, &want, "provision {} -> {}", s, t);
             if let Ok(id) = got {
                 prop_assert_eq!(
-                    masked.path_of(id),
-                    rebuild.path_of(id),
+                    engine.engine().path_of(id),
+                    spec.path_of(id).cloned(),
                     "path of {} diverged",
                     id
                 );
@@ -79,13 +97,13 @@ fn step(
         5 | 6 => {
             if !live.is_empty() {
                 let id = live.remove((a % live.len() as u64) as usize);
-                prop_assert_eq!(masked.release(id), rebuild.release(id), "release {}", id);
+                prop_assert_eq!(engine.release(id), spec.release(id), "release {}", id);
             }
         }
         7 => {
             let link = LinkId::new((a % m as u64) as usize);
-            let got = masked.fail_link(link, policy);
-            let want = rebuild.fail_link(link, policy);
+            let got = engine.fail_link(link, policy);
+            let want = spec.fail_link(link, policy);
             prop_assert_eq!(&got, &want, "fail_link {}", link);
             // Update the live set: lost connections go away, restored
             // ones change id.
@@ -93,33 +111,41 @@ fn step(
                 live.retain(|&c| c != old);
                 if let Some(new) = new {
                     prop_assert_eq!(
-                        masked.path_of(new),
-                        rebuild.path_of(new),
+                        engine.engine().path_of(new),
+                        spec.path_of(new).cloned(),
                         "restored path of {} diverged",
                         new
                     );
                     live.push(new);
                 }
             }
-            prop_assert_eq!(masked.failed_links(), rebuild.failed_links());
         }
-        _ => {
+        8 => {
             // Fibre repair: exercises both the real involution (when the
             // link is cut) and the double-restore no-op (when it isn't).
             let link = LinkId::new((a % m as u64) as usize);
             prop_assert_eq!(
-                masked.restore_link(link),
-                rebuild.restore_link(link),
+                engine.restore_link(link),
+                spec.restore_link(link),
                 "restore_link {}",
                 link
             );
-            prop_assert_eq!(masked.failed_links(), rebuild.failed_links());
+        }
+        _ => {
+            // Runtime converter placement: a structural rebuild with the
+            // busy state replayed and the blocked-cause memo invalidated.
+            let node = NodeId::new((a % n as u64) as usize);
+            let enabled = b % 2 == 0;
+            prop_assert_eq!(
+                engine.set_converter(node, enabled),
+                spec.set_converter(node, enabled),
+                "set_converter {} {}",
+                node,
+                enabled
+            );
         }
     }
-    prop_assert_eq!(masked.totals(), rebuild.totals());
-    prop_assert_eq!(masked.active_count(), rebuild.active_count());
-    prop_assert_eq!(masked.utilization(), rebuild.utilization());
-    Ok(())
+    same_aggregates(engine, spec)
 }
 
 /// Conformance pin for the retry-exhaustion outcome (required before
@@ -181,29 +207,31 @@ proptest! {
         n in 4usize..12,
         k in 2usize..5,
         policy_idx in 0u8..3,
-        ops in prop::collection::vec((0u8..9, 0u64..1_000_000, 0u64..1_000_000), 1..30),
+        ops in prop::collection::vec((0u8..10, 0u64..1_000_000, 0u64..1_000_000), 1..30),
     ) {
         let net = instance(seed, n, k, 0.7);
         let m = net.link_count();
         let policy = policy_of(policy_idx);
-        let mut masked = ProvisioningEngine::new(&net);
-        let mut rebuild = ProvisioningEngine::with_mode(&net, RoutingMode::RebuildPerRequest);
-        let mut live = Vec::new();
-        for op in ops {
-            step(&mut masked, &mut rebuild, &mut live, op, n, m, policy)?;
+        for shards in SHARDS {
+            let mut engine = ConcurrentEngine::new(&net, shards).handle();
+            let mut spec = SpecEngine::new(&net);
+            let mut live = Vec::new();
+            for &op in &ops {
+                step(&mut engine, &mut spec, &mut live, op, n, m, policy)?;
+            }
+            // Drain everything: the engines must agree to the very end.
+            for id in live {
+                prop_assert_eq!(engine.release(id), spec.release(id));
+            }
+            // Cuts persist until repaired, so heal every fibre before
+            // demanding an empty network.
+            for link in spec.failed_links() {
+                prop_assert!(engine.restore_link(link));
+                prop_assert!(spec.restore_link(link));
+            }
+            prop_assert_eq!(engine.engine().utilization(), 0.0);
+            same_aggregates(&engine, &spec)?;
         }
-        // Drain everything: the engines must agree to the very end.
-        for id in live {
-            prop_assert_eq!(masked.release(id), rebuild.release(id));
-        }
-        // Cuts persist until repaired, so heal every fibre before
-        // demanding an empty network.
-        for link in masked.failed_links().to_vec() {
-            prop_assert!(masked.restore_link(link));
-            prop_assert!(rebuild.restore_link(link));
-        }
-        prop_assert_eq!(masked.utilization(), 0.0);
-        prop_assert_eq!(masked.totals(), rebuild.totals());
     }
 
     #[test]
@@ -213,21 +241,22 @@ proptest! {
         pairs in prop::collection::vec((0u64..1_000_000, 0u64..1_000_000), 1..20),
     ) {
         // Low availability → plenty of blocked requests; the blocked
-        // verdicts and totals must still match exactly.
+        // verdicts, their causes and the totals must still match exactly.
         let net = instance(seed, n, 2, 0.3);
-        let mut masked = ProvisioningEngine::new(&net);
-        let mut rebuild = ProvisioningEngine::with_mode(&net, RoutingMode::RebuildPerRequest);
-        for (a, b) in pairs {
-            let s = NodeId::new((a % n as u64) as usize);
-            let t = NodeId::new((b % n as u64) as usize);
-            let got = masked.provision(s, t, Policy::Optimal);
-            let want = rebuild.provision(s, t, Policy::Optimal);
-            prop_assert_eq!(&got, &want, "{} -> {}", s, t);
-            if let Ok(id) = got {
-                prop_assert_eq!(masked.path_of(id), rebuild.path_of(id));
+        for shards in SHARDS {
+            let mut engine = ConcurrentEngine::new(&net, shards).handle();
+            let mut spec = SpecEngine::new(&net);
+            for &(a, b) in &pairs {
+                let s = NodeId::new((a % n as u64) as usize);
+                let t = NodeId::new((b % n as u64) as usize);
+                let got = engine.provision(s, t, Policy::Optimal);
+                let want = spec.provision(s, t, Policy::Optimal);
+                prop_assert_eq!(&got, &want, "{} -> {}", s, t);
+                if let Ok(id) = got {
+                    prop_assert_eq!(engine.engine().path_of(id), spec.path_of(id).cloned());
+                }
+                same_aggregates(&engine, &spec)?;
             }
         }
-        prop_assert_eq!(masked.totals(), rebuild.totals());
-        prop_assert_eq!(masked.utilization(), rebuild.utilization());
     }
 }

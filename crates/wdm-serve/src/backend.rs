@@ -1,18 +1,24 @@
-//! Engine backends behind the daemon, and the reply renderer.
+//! The engine backend behind the daemon, and the reply renderer.
 //!
-//! [`EngineBackend`] hides the choice between the single-threaded
-//! [`ProvisioningEngine`] (behind a mutex, requests serialized in
-//! arrival order) and the sharded [`ConcurrentEngine`] (lock-free
-//! commits, per-connection transaction retry with a bounded conflict
-//! budget). Both render replies through the same hand-rolled JSON
-//! writer with a fixed key order, so a recorded sequence of engine
-//! operations replayed offline through a fresh single backend
-//! reproduces the daemon's reply bytes exactly — the conformance tests
-//! in `tests/daemon.rs` hold the daemon to that.
+//! [`EngineBackend`] fronts one [`ConcurrentEngine`] and runs every
+//! request through one execute path. The two backends differ only in
+//! how commits are ordered:
+//!
+//! * **serial** — every request runs under one mutex, so requests
+//!   serialize in arrival order and never contend;
+//! * **sharded** — no mutex: transactions commit lock-free, with a
+//!   per-request retry budget after which the request is answered
+//!   `contended` (undecided) instead of stalling the connection.
+//!
+//! Both render replies through the same hand-rolled JSON writer with a
+//! fixed key order, so a recorded sequence of engine operations replayed
+//! offline through a fresh serial backend reproduces the daemon's reply
+//! bytes exactly — the conformance tests in `tests/daemon.rs` hold the
+//! daemon to that.
 //!
 //! Every engine-touching reply carries a `seq` number: the position of
-//! the operation in the engine's serialized history. For the single
-//! backend the number is assigned under the engine mutex, so sorting a
+//! the operation in the engine's serialized history. For the serial
+//! backend the number is assigned under the mutex, so sorting a
 //! multi-connection session's replies by `seq` yields the exact replay
 //! order. The sharded backend assigns `seq` from an atomic at dispatch;
 //! it orders replies but does not promise commit-order replay (commits
@@ -26,18 +32,18 @@ use wdm_graph::{LinkId, NodeId};
 use wdm_obs::ordering::RELAXED;
 use wdm_obs::trace::{FlightRecorder, TraceId};
 use wdm_obs::MetricsRegistry;
-use wdm_rwa::concurrent::{ProvisionOutcome, ProvisionTxn, ReleaseTxn, Step};
+use wdm_rwa::concurrent::ProvisionOutcome;
 use wdm_rwa::{
-    BlockCause, ConcurrentEngine, ConnectionId, Policy, ProvisioningEngine, RaceInjection,
+    BlockCause, ConcurrentEngine, ConcurrentHandle, ConnectionId, Policy, RaceInjection,
     RoutingMode, RwaError,
 };
 
 use crate::protocol::{escape_json, Frame, Request};
 
-/// Locks a mutex, recovering the data from a poisoned lock. The engine
-/// state is a set of busy bits plus counters — every operation leaves
-/// it consistent or untouched, so a panicking peer cannot have left a
-/// half-applied update behind.
+/// Locks a mutex, recovering the data from a poisoned lock. The guarded
+/// value is the serial backend's sequence counter; every engine
+/// operation leaves the engine consistent or untouched, so a panicking
+/// peer cannot have left a half-applied update behind.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
@@ -45,39 +51,36 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// The single-threaded engine plus its serialized-history counter.
-struct SingleState {
-    engine: ProvisioningEngine,
-    seq: u64,
-}
-
-enum Inner {
-    Single(Box<Mutex<SingleState>>),
-    Sharded {
-        engine: ConcurrentEngine,
-        seq: AtomicU64,
-        max_conflicts: u64,
-    },
+/// How requests are ordered against each other, and the `seq` counter
+/// that numbers them.
+enum Order {
+    /// One request at a time, under the mutex that also guards `seq`.
+    Serial(Mutex<u64>),
+    /// Lock-free commits; `seq` from an atomic at dispatch.
+    Sharded(AtomicU64),
 }
 
 /// A provisioning engine wired for daemon use: thread-safe dispatch,
 /// sequence numbering, and deterministic JSON reply rendering.
 pub struct EngineBackend {
-    inner: Inner,
+    engine: ConcurrentEngine,
+    order: Order,
+    /// Validation conflicts a provision may absorb before it is
+    /// answered `contended`. Unbounded on the serial backend, which
+    /// never contends.
+    max_conflicts: u64,
     policy: Policy,
     /// The flight recorder behind request-scoped tracing, write-once.
     /// `None` means tracing is disabled and every request pays exactly
-    /// one branch (inside the engines) for the privilege.
+    /// one branch (inside the engine) for the privilege.
     tracer: OnceLock<Arc<FlightRecorder>>,
 }
 
-/// Per-connection execution state.
-///
-/// The single backend needs none; the sharded backend gives each
-/// connection its own search scratch so concurrent transactions never
-/// share mutable routing state.
+/// Per-connection execution state: the connection's engine handle,
+/// which owns its search scratch, created on the first engine-touching
+/// request.
 pub struct ExecCtx {
-    scratch: Option<wdm_core::SearchScratch>,
+    handle: Option<ConcurrentHandle>,
 }
 
 /// One provision verdict shaped for the renderer: on accept, the id
@@ -85,25 +88,24 @@ pub struct ExecCtx {
 type ProvisionVerdict = Result<(ConnectionId, usize, usize, wdm_core::Cost), RwaError>;
 
 impl EngineBackend {
-    /// A backend over the single-threaded engine in `mode`, serialized
-    /// behind a mutex. `policy` is the default for requests that carry
-    /// no `policy` field.
+    /// The serial backend: requests serialized behind a mutex. `policy`
+    /// is the default for requests that carry no `policy` field.
     pub fn single(net: &wdm_core::WdmNetwork, mode: RoutingMode, policy: Policy) -> Self {
+        let RoutingMode::Masked = mode;
         EngineBackend {
-            inner: Inner::Single(Box::new(Mutex::new(SingleState {
-                engine: ProvisioningEngine::with_mode(net, mode),
-                seq: 0,
-            }))),
+            engine: ConcurrentEngine::new(net, 1),
+            order: Order::Serial(Mutex::new(0)),
+            max_conflicts: u64::MAX,
             policy,
             tracer: OnceLock::new(),
         }
     }
 
-    /// A backend over the sharded concurrent engine with `shards`
-    /// wavelength shards (`0` auto-sizes) and a per-request retry
-    /// budget of `max_conflicts` validation conflicts, after which the
-    /// request is answered `contended` (undecided — the client may
-    /// retry verbatim) instead of stalling the connection.
+    /// The sharded backend with `shards` wavelength shards (`0`
+    /// auto-sizes) and a per-request retry budget of `max_conflicts`
+    /// validation conflicts, after which the request is answered
+    /// `contended` (undecided — the client may retry verbatim) instead
+    /// of stalling the connection.
     pub fn sharded(
         net: &wdm_core::WdmNetwork,
         shards: usize,
@@ -124,42 +126,29 @@ impl EngineBackend {
         race: RaceInjection,
     ) -> Self {
         EngineBackend {
-            inner: Inner::Sharded {
-                engine: ConcurrentEngine::with_race_injection(net, shards, race),
-                seq: AtomicU64::new(0),
-                max_conflicts,
-            },
+            engine: ConcurrentEngine::with_race_injection(net, shards, race),
+            order: Order::Sharded(AtomicU64::new(0)),
+            max_conflicts,
             policy,
             tracer: OnceLock::new(),
         }
     }
 
-    /// Whether this backend runs the sharded concurrent engine.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self.inner, Inner::Sharded { .. })
-    }
-
-    /// Attaches the single engine's instruments to `registry` (provision
-    /// latency, accept/block counters, occupancy gauges). No-op for the
-    /// sharded backend, which reports through `stats` instead.
+    /// Attaches the engine's instruments to `registry` (provision
+    /// latency, accept/block counters, occupancy gauges, search-kernel
+    /// totals). Write-once.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        if let Inner::Single(state) = &self.inner {
-            lock(state).engine.attach_metrics(registry);
-        }
+        self.engine.attach_metrics(registry);
     }
 
-    /// Attaches `recorder` to whichever engine this backend fronts:
-    /// every request now records request-scoped spans, labelled by the
-    /// wire `trace_id` when the client sent one. Write-once — the first
-    /// recorder wins and later calls are ignored (the sharded engine
-    /// reads the cell lock-free mid-transaction).
+    /// Attaches `recorder` to the engine: every request now records
+    /// request-scoped spans, labelled by the wire `trace_id` when the
+    /// client sent one. Write-once — the first recorder wins and later
+    /// calls are ignored (the engine reads the cell lock-free
+    /// mid-transaction).
     pub fn attach_tracer(&self, recorder: &Arc<FlightRecorder>) {
-        if self.tracer.set(Arc::clone(recorder)).is_err() {
-            return;
-        }
-        match &self.inner {
-            Inner::Single(state) => lock(state).engine.attach_tracer(recorder),
-            Inner::Sharded { engine, .. } => engine.attach_tracer(recorder),
+        if self.tracer.set(Arc::clone(recorder)).is_ok() {
+            self.engine.attach_tracer(recorder);
         }
     }
 
@@ -170,26 +159,11 @@ impl EngineBackend {
 
     /// Creates the per-connection execution state for this backend.
     pub fn new_ctx(&self) -> ExecCtx {
-        ExecCtx {
-            scratch: match &self.inner {
-                Inner::Single(_) => None,
-                Inner::Sharded { engine, .. } => Some(engine.handle_scratch()),
-            },
-        }
+        ExecCtx { handle: None }
     }
 
-    /// Executes one engine-touching request and renders its reply line
-    /// (without the trailing newline).
-    ///
-    /// `Drain` is a server-level operation, and `Trace` only reads
-    /// recorder counters; at this layer both are acknowledged without
-    /// touching the engine or consuming a `seq`, which keeps offline
-    /// replay of recorded sessions trivial.
-    pub fn execute(&self, ctx: &mut ExecCtx, req: &Request) -> String {
-        self.execute_wired(ctx, req, None)
-    }
-
-    /// Executes one parsed [`Frame`]: the request runs with its wire
+    /// Executes one parsed [`Frame`] and renders its reply line (without
+    /// the trailing newline): the request runs with its wire
     /// `trace_id` labelling the recorded spans, and the reply echoes the
     /// id back as a final `"trace_id"` field — so the bytes a client
     /// correlates against are exactly the bytes it tagged.
@@ -201,8 +175,12 @@ impl EngineBackend {
         }
     }
 
-    /// The shared execution path behind [`execute`](Self::execute) and
-    /// [`execute_frame`](Self::execute_frame).
+    /// The execution path behind [`execute_frame`](Self::execute_frame).
+    ///
+    /// `Drain` is a server-level operation, and `Trace` only reads
+    /// recorder counters; at this layer both are acknowledged without
+    /// touching the engine or consuming a `seq`, which keeps offline
+    /// replay of recorded sessions trivial.
     fn execute_wired(&self, ctx: &mut ExecCtx, req: &Request, wire: Option<TraceId>) -> String {
         if matches!(req, Request::Drain) {
             return r#"{"ok":true,"op":"drain"}"#.to_string();
@@ -221,31 +199,18 @@ impl EngineBackend {
             .tracer
             .get()
             .map(|rec| (rec.recorded_count(), rec.drop_count()));
-        match &self.inner {
-            Inner::Single(state) => {
-                let st = &mut *lock(state);
-                st.seq += 1;
-                let seq = st.seq;
-                execute_single(&mut st.engine, self.policy, seq, req, wire, trace_counts)
+        let handle = ctx.handle.get_or_insert_with(|| self.engine.handle());
+        match &self.order {
+            Order::Serial(seq) => {
+                let mut seq = lock(seq);
+                *seq += 1;
+                self.run(handle, *seq, req, wire, trace_counts)
             }
-            Inner::Sharded {
-                engine,
-                seq,
-                max_conflicts,
-            } => {
-                // Relaxed is enough: the counter only needs uniqueness
-                // and atomicity, not ordering against engine commits.
+            // Relaxed is enough: the counter only needs uniqueness and
+            // atomicity, not ordering against engine commits.
+            Order::Sharded(seq) => {
                 let seq = seq.fetch_add(1, RELAXED) + 1;
-                execute_sharded(
-                    engine,
-                    ctx,
-                    self.policy,
-                    seq,
-                    *max_conflicts,
-                    req,
-                    wire,
-                    trace_counts,
-                )
+                self.run(handle, seq, req, wire, trace_counts)
             }
         }
     }
@@ -261,19 +226,105 @@ impl EngineBackend {
         }
     }
 
-    /// Engine totals `(accepted, blocked, released)`, for summaries.
-    pub fn totals(&self) -> (u64, u64, u64) {
-        match &self.inner {
-            Inner::Single(state) => lock(state).engine.totals(),
-            Inner::Sharded { engine, .. } => engine.totals(),
+    /// Runs one engine-touching request through `h` and renders the
+    /// reply numbered `seq`.
+    fn run(
+        &self,
+        h: &mut ConcurrentHandle,
+        seq: u64,
+        req: &Request,
+        wire: Option<TraceId>,
+        trace_counts: Option<(u64, u64)>,
+    ) -> String {
+        let engine = &self.engine;
+        let nodes = engine.base().node_count();
+        let links = engine.base().link_count();
+        match req {
+            Request::Provision { s, t, policy } => {
+                if let Some(bad) = node_out_of_range(*s, *t, nodes) {
+                    return render_node_out_of_range(seq, bad);
+                }
+                let pol = policy.unwrap_or(self.policy);
+                let (verdict, cause) = self.provision_one(h, *s, *t, pol, wire);
+                render_provision(Some(seq), &verdict, cause)
+            }
+            Request::Release { id } => {
+                let id = ConnectionId::from_u64(*id);
+                render_release(seq, id, h.release_traced(id, wire).is_ok())
+            }
+            Request::FailLink { link } => {
+                if *link >= links {
+                    return render_link_out_of_range("fail-link", seq, *link, links);
+                }
+                let outcomes = h.fail_link(LinkId::new(*link), self.policy);
+                render_fail_link(seq, *link, &outcomes)
+            }
+            Request::RestoreLink { link } => {
+                if *link >= links {
+                    return render_link_out_of_range("restore-link", seq, *link, links);
+                }
+                render_restore_link(seq, *link, h.restore_link(LinkId::new(*link)))
+            }
+            Request::Batch { pairs, policy } => {
+                let pol = policy.unwrap_or(self.policy);
+                let mut accepted = 0usize;
+                let elements: Vec<String> = pairs
+                    .iter()
+                    .map(|&(s, t)| match node_out_of_range(s, t, nodes) {
+                        Some(bad) => render_node_out_of_range_bare(bad),
+                        None => {
+                            let (verdict, _) = self.provision_one(h, s, t, pol, wire);
+                            if verdict.is_ok() {
+                                accepted += 1;
+                            }
+                            render_provision(None, &verdict, None)
+                        }
+                    })
+                    .collect();
+                render_batch(seq, &elements, accepted)
+            }
+            Request::Stats => {
+                let (accepted, blocked, released) = engine.totals();
+                let (no_path, capacity) = engine.blocked_by_cause();
+                let mut s = format!(
+                    r#"{{"ok":true,"op":"stats","seq":{seq},"accepted":{accepted},"blocked":{blocked},"blocked_no_path":{no_path},"blocked_capacity":{capacity},"released":{released},"active":{},"utilization":{},"conflicts":{}"#,
+                    engine.active_count(),
+                    engine.utilization(),
+                    engine.conflicts()
+                );
+                push_stats_trace_fields(&mut s, trace_counts);
+                s.push('}');
+                s
+            }
+            // Handled in `execute_wired` before dispatch.
+            Request::Drain => r#"{"ok":true,"op":"drain"}"#.to_string(),
+            Request::Trace => r#"{"ok":false,"op":"trace","error":"tracing_disabled"}"#.to_string(),
         }
     }
 
-    /// Active connection count, for summaries.
-    pub fn active_count(&self) -> usize {
-        match &self.inner {
-            Inner::Single(state) => lock(state).engine.active_count(),
-            Inner::Sharded { engine, .. } => engine.active_count(),
+    /// One bounded provision, shaped for the renderer together with the
+    /// blocked cause. Retry exhaustion is answered `contended`, never a
+    /// fabricated blocked verdict: the request was not decided and
+    /// engine totals are untouched (pinned by the provisioning
+    /// conformance suite).
+    fn provision_one(
+        &self,
+        h: &mut ConcurrentHandle,
+        s: usize,
+        t: usize,
+        policy: Policy,
+        wire: Option<TraceId>,
+    ) -> (ProvisionVerdict, Option<BlockCause>) {
+        let (s, t) = (NodeId::new(s), NodeId::new(t));
+        match h.provision_traced(s, t, policy, self.max_conflicts, wire) {
+            Ok(ProvisionOutcome::Accepted { id, path }) => (
+                Ok((id, path.len(), path.conversion_count(), path.cost())),
+                None,
+            ),
+            Ok(ProvisionOutcome::Blocked { cause }) => {
+                (Err(RwaError::Blocked { s, t }), Some(cause))
+            }
+            Err(e) => (Err(e), None),
         }
     }
 }
@@ -308,30 +359,18 @@ fn cause_str(cause: BlockCause) -> &'static str {
     }
 }
 
-/// Renders a full provision reply (with `op` and `seq`).
-fn render_provision_reply(
-    seq: u64,
+/// Renders a provision verdict: a full reply (with `op` and `seq`) when
+/// `seq` is set, else a bare batch element (whose blocked verdicts carry
+/// no cause — causes go to the engine counters, not per element).
+fn render_provision(
+    seq: Option<u64>,
     verdict: &ProvisionVerdict,
     cause: Option<BlockCause>,
 ) -> String {
-    let mut s = format!(r#"{{"ok":{},"op":"provision","seq":{seq}"#, verdict.is_ok());
-    push_provision_fields(&mut s, verdict, cause);
-    s.push('}');
-    s
-}
-
-/// Renders one batch element (bare object, no `op`/`seq`; blocked
-/// elements carry no cause — `provision_batch` classifies causes into
-/// engine counters, not per element).
-fn render_batch_element(verdict: &ProvisionVerdict, cause: Option<BlockCause>) -> String {
     let mut s = format!(r#"{{"ok":{}"#, verdict.is_ok());
-    push_provision_fields(&mut s, verdict, cause);
-    s.push('}');
-    s
-}
-
-/// The verdict-specific reply fields, appended after the common prefix.
-fn push_provision_fields(s: &mut String, verdict: &ProvisionVerdict, cause: Option<BlockCause>) {
+    if let Some(seq) = seq {
+        let _ = write!(s, r#","op":"provision","seq":{seq}"#);
+    }
     match verdict {
         Ok((id, hops, conversions, cost)) => {
             let _ = write!(
@@ -363,6 +402,8 @@ fn push_provision_fields(s: &mut String, verdict: &ProvisionVerdict, cause: Opti
             );
         }
     }
+    s.push('}');
+    s
 }
 
 /// The first of `s`, `t` that is not a node of an `n`-node network.
@@ -422,119 +463,6 @@ fn render_batch(seq: u64, elements: &[String], accepted: usize) -> String {
     )
 }
 
-fn execute_single(
-    engine: &mut ProvisioningEngine,
-    default: Policy,
-    seq: u64,
-    req: &Request,
-    wire: Option<TraceId>,
-    trace_counts: Option<(u64, u64)>,
-) -> String {
-    match req {
-        Request::Provision { s, t, policy } => {
-            if let Some(bad) = node_out_of_range(*s, *t, engine.base().node_count()) {
-                return render_node_out_of_range(seq, bad);
-            }
-            let pol = policy.unwrap_or(default);
-            let verdict = provision_one_single(engine, *s, *t, pol, wire);
-            let cause = match &verdict {
-                Err(RwaError::Blocked { .. }) => engine.last_block_cause(),
-                _ => None,
-            };
-            render_provision_reply(seq, &verdict, cause)
-        }
-        Request::Release { id } => {
-            let id = ConnectionId::from_u64(*id);
-            render_release(seq, id, engine.release_traced(id, wire).is_ok())
-        }
-        Request::FailLink { link } => {
-            let links = engine.base().link_count();
-            if *link >= links {
-                return render_link_out_of_range("fail-link", seq, *link, links);
-            }
-            let outcomes = engine.fail_link(LinkId::new(*link), default);
-            render_fail_link(seq, *link, &outcomes)
-        }
-        Request::RestoreLink { link } => {
-            let links = engine.base().link_count();
-            if *link >= links {
-                return render_link_out_of_range("restore-link", seq, *link, links);
-            }
-            render_restore_link(seq, *link, engine.restore_link(LinkId::new(*link)))
-        }
-        Request::Batch { pairs, policy } => {
-            let pol = policy.unwrap_or(default);
-            let nodes = engine.base().node_count();
-            let all_in_range = pairs
-                .iter()
-                .all(|&(s, t)| node_out_of_range(s, t, nodes).is_none());
-            let mut accepted = 0usize;
-            let elements: Vec<String> = if all_in_range {
-                // Fast path: the all-pairs pre-screen fans across every
-                // core, then requests commit serially in order —
-                // identical verdicts to a provision loop (see
-                // `ProvisioningEngine::provision_batch`).
-                let typed: Vec<(NodeId, NodeId)> = pairs
-                    .iter()
-                    .map(|&(s, t)| (NodeId::new(s), NodeId::new(t)))
-                    .collect();
-                engine
-                    .provision_batch(&typed, pol, 0)
-                    .iter()
-                    .map(|r| {
-                        let verdict: ProvisionVerdict = match r {
-                            Ok(id) => {
-                                accepted += 1;
-                                let (hops, conversions, cost) = match engine.path_of(*id) {
-                                    Some(p) => (p.len(), p.conversion_count(), p.cost()),
-                                    None => (0, 0, wdm_core::Cost::ZERO),
-                                };
-                                Ok((*id, hops, conversions, cost))
-                            }
-                            Err(e) => Err(e.clone()),
-                        };
-                        render_batch_element(&verdict, None)
-                    })
-                    .collect()
-            } else {
-                // An out-of-range pair cannot become a `NodeId`, so the
-                // batch falls back to a provision loop that answers the
-                // bad elements typed and commits the rest in the same
-                // serial order the fast path would.
-                pairs
-                    .iter()
-                    .map(|&(s, t)| match node_out_of_range(s, t, nodes) {
-                        Some(bad) => render_node_out_of_range_bare(bad),
-                        None => {
-                            let verdict = provision_one_single(engine, s, t, pol, wire);
-                            if verdict.is_ok() {
-                                accepted += 1;
-                            }
-                            render_batch_element(&verdict, None)
-                        }
-                    })
-                    .collect()
-            };
-            render_batch(seq, &elements, accepted)
-        }
-        Request::Stats => {
-            let (accepted, blocked, released) = engine.totals();
-            let (no_path, capacity) = engine.blocked_by_cause();
-            let mut s = format!(
-                r#"{{"ok":true,"op":"stats","seq":{seq},"accepted":{accepted},"blocked":{blocked},"blocked_no_path":{no_path},"blocked_capacity":{capacity},"released":{released},"active":{},"utilization":{},"conflicts":0"#,
-                engine.active_count(),
-                engine.utilization()
-            );
-            push_stats_trace_fields(&mut s, trace_counts);
-            s.push('}');
-            s
-        }
-        // Handled in `EngineBackend::execute_wired` before dispatch.
-        Request::Drain => r#"{"ok":true,"op":"drain"}"#.to_string(),
-        Request::Trace => r#"{"ok":false,"op":"trace","error":"tracing_disabled"}"#.to_string(),
-    }
-}
-
 /// Appends the flight-recorder fields to a `stats` reply, in the fixed
 /// key order the replay-identity conformance test pins. Absent recorder
 /// renders zeros, so traced and untraced daemons agree on the schema.
@@ -554,160 +482,5 @@ fn render_release(seq: u64, id: ConnectionId, ok: bool) -> String {
             r#"{{"ok":false,"op":"release","seq":{seq},"error":"unknown_connection","id":{}}}"#,
             id.as_u64()
         )
-    }
-}
-
-/// One provision on the single engine, shaped for the shared renderer.
-fn provision_one_single(
-    engine: &mut ProvisioningEngine,
-    s: usize,
-    t: usize,
-    policy: Policy,
-    wire: Option<TraceId>,
-) -> ProvisionVerdict {
-    let id = engine.provision_traced(NodeId::new(s), NodeId::new(t), policy, wire)?;
-    let (hops, conversions, cost) = match engine.path_of(id) {
-        Some(path) => (path.len(), path.conversion_count(), path.cost()),
-        None => (0, 0, wdm_core::Cost::ZERO),
-    };
-    Ok((id, hops, conversions, cost))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_sharded(
-    engine: &ConcurrentEngine,
-    ctx: &mut ExecCtx,
-    default: Policy,
-    seq: u64,
-    max_conflicts: u64,
-    req: &Request,
-    wire: Option<TraceId>,
-    trace_counts: Option<(u64, u64)>,
-) -> String {
-    match req {
-        Request::Provision { s, t, policy } => {
-            if let Some(bad) = node_out_of_range(*s, *t, engine.base().node_count()) {
-                return render_node_out_of_range(seq, bad);
-            }
-            let pol = policy.unwrap_or(default);
-            let (verdict, cause) =
-                provision_one_sharded(engine, ctx, *s, *t, pol, max_conflicts, wire);
-            render_provision_reply(seq, &verdict, cause)
-        }
-        Request::Release { id } => {
-            let id = ConnectionId::from_u64(*id);
-            let mut txn = ReleaseTxn::new(id);
-            let released = loop {
-                match txn.step(engine) {
-                    Step::Done(r) => break r,
-                    Step::Progress => {}
-                    Step::Contended => std::thread::yield_now(),
-                }
-            };
-            render_release(seq, id, released.is_ok())
-        }
-        Request::FailLink { link } => {
-            let links = engine.base().link_count();
-            if *link >= links {
-                return render_link_out_of_range("fail-link", seq, *link, links);
-            }
-            let mut handle = engine.handle();
-            let outcomes = handle.fail_link(LinkId::new(*link), default);
-            render_fail_link(seq, *link, &outcomes)
-        }
-        Request::RestoreLink { link } => {
-            let links = engine.base().link_count();
-            if *link >= links {
-                return render_link_out_of_range("restore-link", seq, *link, links);
-            }
-            let restored = engine.handle().restore_link(LinkId::new(*link));
-            render_restore_link(seq, *link, restored)
-        }
-        Request::Batch { pairs, policy } => {
-            let pol = policy.unwrap_or(default);
-            let nodes = engine.base().node_count();
-            let mut accepted = 0usize;
-            let elements: Vec<String> = pairs
-                .iter()
-                .map(|&(s, t)| match node_out_of_range(s, t, nodes) {
-                    Some(bad) => render_node_out_of_range_bare(bad),
-                    None => {
-                        let (verdict, _) =
-                            provision_one_sharded(engine, ctx, s, t, pol, max_conflicts, wire);
-                        if verdict.is_ok() {
-                            accepted += 1;
-                        }
-                        render_batch_element(&verdict, None)
-                    }
-                })
-                .collect();
-            render_batch(seq, &elements, accepted)
-        }
-        Request::Stats => {
-            let (accepted, blocked, released) = engine.totals();
-            let (no_path, capacity) = engine.blocked_by_cause();
-            let mut s = format!(
-                r#"{{"ok":true,"op":"stats","seq":{seq},"accepted":{accepted},"blocked":{blocked},"blocked_no_path":{no_path},"blocked_capacity":{capacity},"released":{released},"active":{},"utilization":{},"conflicts":{}"#,
-                engine.active_count(),
-                engine.utilization(),
-                engine.conflicts()
-            );
-            push_stats_trace_fields(&mut s, trace_counts);
-            s.push('}');
-            s
-        }
-        Request::Drain => r#"{"ok":true,"op":"drain"}"#.to_string(),
-        Request::Trace => r#"{"ok":false,"op":"trace","error":"tracing_disabled"}"#.to_string(),
-    }
-}
-
-/// One bounded provision transaction on the sharded engine, capturing
-/// the per-request blocked cause the handle API does not surface.
-fn provision_one_sharded(
-    engine: &ConcurrentEngine,
-    ctx: &mut ExecCtx,
-    s: usize,
-    t: usize,
-    policy: Policy,
-    max_conflicts: u64,
-    wire: Option<TraceId>,
-) -> (ProvisionVerdict, Option<BlockCause>) {
-    let scratch = ctx.scratch.get_or_insert_with(|| engine.handle_scratch());
-    let (s_id, t_id) = (NodeId::new(s), NodeId::new(t));
-    let mut txn = match ProvisionTxn::new_traced(engine, s_id, t_id, policy, wire) {
-        Ok(txn) => txn,
-        Err(e) => return (Err(e), None),
-    };
-    loop {
-        match txn.step(engine, scratch) {
-            Step::Done(ProvisionOutcome::Accepted { id, path }) => {
-                return (
-                    Ok((id, path.len(), path.conversion_count(), path.cost())),
-                    None,
-                )
-            }
-            Step::Done(ProvisionOutcome::Blocked { cause }) => {
-                return (Err(RwaError::Blocked { s: s_id, t: t_id }), Some(cause))
-            }
-            Step::Progress => {}
-            Step::Contended => {
-                // Retry exhaustion is answered `contended`, never a
-                // fabricated blocked verdict: the request was not
-                // decided and engine totals are untouched (pinned by
-                // the provisioning conformance suite).
-                if txn.conflicts() >= max_conflicts {
-                    txn.trace_abandon();
-                    return (
-                        Err(RwaError::Contended {
-                            s: s_id,
-                            t: t_id,
-                            conflicts: txn.conflicts(),
-                        }),
-                        None,
-                    );
-                }
-                std::thread::yield_now();
-            }
-        }
     }
 }

@@ -1,9 +1,8 @@
 //! Control-plane daemon for the WDM provisioning engine.
 //!
-//! `wdm serve` (see the `wdm-cli` crate) fronts a
-//! [`wdm_rwa::ProvisioningEngine`] — or, with `--sharded`, the
-//! concurrent [`wdm_rwa::concurrent::ConcurrentEngine`] — over a TCP or
-//! unix-socket listener. The wire protocol is deliberately boring:
+//! `wdm serve` (see the `wdm-cli` crate) fronts one
+//! [`wdm_rwa::ConcurrentEngine`] — requests run one at a time, or with
+//! `--sharded` commit lock-free — over a TCP or unix-socket listener. The wire protocol is deliberately boring:
 //! **line-delimited JSON**, one request object per line, one reply
 //! object per line, in order, per connection. No framing beyond `\n`,
 //! no external dependencies — requests are parsed with

@@ -213,6 +213,31 @@ fn malformed_frame_gets_typed_reply_and_close() {
     assert_eq!(summary.malformed, 2);
 }
 
+/// Regression: one frame nesting far past [`json::MAX_DEPTH`] used to
+/// recurse the parser off its connection thread's stack and abort the
+/// whole daemon process. It is an ordinary `malformed` frame now, and
+/// the daemon keeps serving.
+#[test]
+fn deeply_nested_frame_is_malformed_not_fatal() {
+    let net = instance(7, 12, 3);
+    let backend = EngineBackend::single(&net, RoutingMode::Masked, Policy::Optimal);
+    let (server, addr, handle) = start(backend, ServerConfig::default());
+
+    let mut client = Client::connect(&addr);
+    let reply = client.roundtrip(&"[".repeat(200_000));
+    assert!(reply.contains(r#""error":"malformed""#), "{reply}");
+    assert!(reply.contains("nesting"), "{reply}");
+    assert_eq!(client.recv(), None);
+
+    let mut next = Client::connect(&addr);
+    let reply = next.roundtrip(r#"{"op":"stats"}"#);
+    assert!(reply.contains(r#""ok":true"#), "{reply}");
+
+    server.request_drain();
+    let summary = handle.join().expect("join").expect("serve");
+    assert_eq!(summary.malformed, 1);
+}
+
 #[test]
 fn mid_request_disconnect_does_not_poison_the_daemon() {
     let net = instance(9, 12, 3);
@@ -467,6 +492,64 @@ fn sharded_backend_serves_provision_release_and_stats() {
     }
     let stats = client.roundtrip(r#"{"op":"stats"}"#);
     assert!(stats.contains(r#""conflicts":"#), "{stats}");
+
+    server.request_drain();
+    handle.join().expect("join").expect("serve");
+}
+
+/// Both backends run the same engine, so the sharded daemon exports the
+/// engine's `wdm_rwa_*` series and traces releases exactly like the
+/// serial one.
+#[test]
+fn sharded_backend_exports_engine_metrics_and_release_traces() {
+    let net = instance(31, 16, 4);
+    let backend = EngineBackend::sharded(&net, 0, 64, Policy::Optimal);
+    let (server, addr, handle) = start(
+        backend,
+        ServerConfig {
+            trace_buffer: 4096,
+            ..ServerConfig::default()
+        },
+    );
+
+    let mut client = Client::connect(&addr);
+    let id = [(0usize, 7usize), (1, 5), (2, 9), (3, 11)]
+        .iter()
+        .find_map(|(s, t)| {
+            let reply = client.roundtrip(&format!(r#"{{"op":"provision","s":{s},"t":{t}}}"#));
+            json::parse(&reply)
+                .expect("parses")
+                .get("id")
+                .and_then(|v| v.as_u64())
+        })
+        .expect("at least one provision should accept");
+    let reply = client.roundtrip(&format!(r#"{{"op":"release","id":{id},"trace_id":9200}}"#));
+    assert!(reply.contains(r#""ok":true"#), "{reply}");
+
+    let metrics = http_get(&addr, "/metrics");
+    assert!(
+        metrics.contains("# TYPE wdm_rwa_requests_total counter"),
+        "{metrics}"
+    );
+    assert!(metrics.contains("wdm_rwa_released_total 1"), "{metrics}");
+
+    let response = http_get(&addr, "/trace");
+    let body = response.split("\r\n\r\n").nth(1).expect("body");
+    let trace = json::parse(body).expect("trace JSON");
+    let events = trace
+        .get("traceEvents")
+        .and_then(|v| v.as_array())
+        .expect("traceEvents");
+    assert!(
+        events.iter().any(|e| {
+            e.get("name").and_then(|v| v.as_str()) == Some("release")
+                && e.get("args")
+                    .and_then(|a| a.get("trace_id"))
+                    .and_then(|v| v.as_u64())
+                    == Some(9200)
+        }),
+        "no release root span under trace 9200: {body}"
+    );
 
     server.request_drain();
     handle.join().expect("join").expect("serve");
