@@ -3,7 +3,7 @@
 //! The optimal-semilightpath algorithm of Liang & Shen reaches its stated
 //! `O(k²n + km + kn·log(kn))` bound (Theorem 1) by running Dijkstra's algorithm
 //! with the Fibonacci heap of Fredman & Tarjan. This crate provides that heap
-//! together with four alternatives, all behind one [`IndexedPriorityQueue`]
+//! together with six alternatives, all behind one [`IndexedPriorityQueue`]
 //! trait, so the shortest-path solvers in `wdm-core` are generic over the heap
 //! and the heap ablation benchmark (experiment E9) compares like with like:
 //!
@@ -16,6 +16,9 @@
 //! * [`BinaryHeap`] — classical indexed binary heap, `O(log n)` everything.
 //! * [`ArrayHeap`] — linear-scan "heap" giving the `O(V²)` Dijkstra the
 //!   Chlamtac–Faragó–Zhang baseline is charged with in the paper's comparison.
+//! * [`RadixHeap`] — monotone radix heap over integer keys ([`RadixKey`]),
+//!   `O(1)` `push`/`decrease_key`; valid only while every new key is at
+//!   least the last popped one, as in Dijkstra with non-negative costs.
 //!
 //! All queues are *indexed*: items are dense `usize` identifiers in
 //! `0..capacity`, which is exactly the shape Dijkstra over a compact node
@@ -46,6 +49,7 @@ mod binary;
 mod fibonacci;
 mod leftist;
 mod pairing;
+mod radix;
 mod skew;
 
 pub use array::ArrayHeap;
@@ -53,6 +57,7 @@ pub use binary::BinaryHeap;
 pub use fibonacci::FibonacciHeap;
 pub use leftist::LeftistHeap;
 pub use pairing::PairingHeap;
+pub use radix::{RadixHeap, RadixKey};
 pub use skew::SkewHeap;
 
 /// A min-priority queue over dense `usize` items supporting `decrease_key`.
@@ -131,7 +136,9 @@ pub trait IndexedPriorityQueue<P: Ord + Clone> {
     /// Pushes `item` if absent, otherwise decreases its key when `priority`
     /// improves on the stored one. Returns `true` if the queue changed.
     ///
-    /// This is the single call sites in Dijkstra's relaxation need.
+    /// For relaxation loops that do not track whether an item is queued;
+    /// one that does can call `push` or `decrease_key` directly and skip
+    /// the `priority` lookup.
     fn push_or_decrease(&mut self, item: usize, priority: P) -> bool {
         match self.priority(item) {
             None => {
@@ -166,16 +173,19 @@ pub enum HeapKind {
     Skew,
     /// [`LeftistHeap`].
     Leftist,
+    /// [`RadixHeap`] (monotone integer keys only).
+    Radix,
 }
 
 impl HeapKind {
     /// All heap kinds, for sweeps and ablations.
-    pub const ALL: [HeapKind; 6] = [
+    pub const ALL: [HeapKind; 7] = [
         HeapKind::Fibonacci,
         HeapKind::Pairing,
         HeapKind::Binary,
         HeapKind::Skew,
         HeapKind::Leftist,
+        HeapKind::Radix,
         HeapKind::Array,
     ];
 
@@ -188,6 +198,7 @@ impl HeapKind {
             HeapKind::Array => "array",
             HeapKind::Skew => "skew",
             HeapKind::Leftist => "leftist",
+            HeapKind::Radix => "radix",
         }
     }
 }
@@ -235,6 +246,44 @@ mod trait_tests {
         exercise::<ArrayHeap<u64>>();
         exercise::<SkewHeap<u64>>();
         exercise::<LeftistHeap<u64>>();
+        exercise_monotone::<RadixHeap<u64>>();
+        exercise_monotone::<BinaryHeap<u64>>();
+    }
+
+    /// The contract restricted to Dijkstra-shaped use — every push and
+    /// decrease at least the last popped priority — which is all a
+    /// monotone queue supports.
+    fn exercise_monotone<Q: IndexedPriorityQueue<u64>>() {
+        let mut q = Q::with_capacity(16);
+        assert!(q.is_empty());
+        assert_eq!(q.capacity(), 16);
+        q.push(4, 100);
+        q.push(9, 50);
+        assert_eq!(q.len(), 2);
+        assert!(q.contains(4));
+        assert!(!q.contains(0));
+        assert_eq!(q.priority(4), Some(&100));
+        assert_eq!(q.peek_min(), Some((9, &50)));
+        assert!(q.push_or_decrease(4, 10));
+        assert!(!q.push_or_decrease(4, 10_000));
+        assert_eq!(q.pop_min(), Some((4, 10)));
+        // Re-insertion after pop is allowed at or above the last pop.
+        q.push(4, 10);
+        q.push(15, (1 << 40) + 3);
+        q.push(0, u64::MAX - 1);
+        assert_eq!(q.pop_min(), Some((4, 10)));
+        assert_eq!(q.pop_min(), Some((9, 50)));
+        assert!(q.push_or_decrease(0, 1 << 40));
+        assert_eq!(q.pop_min(), Some((0, 1 << 40)));
+        assert_eq!(q.pop_min(), Some((15, (1 << 40) + 3)));
+        assert_eq!(q.pop_min(), None);
+        q.push(1, 1 << 41);
+        q.clear();
+        assert!(q.is_empty());
+        assert!(!q.contains(1));
+        // Clearing resets the floor.
+        q.push(1, 3);
+        assert_eq!(q.pop_min(), Some((1, 3)));
     }
 
     #[test]

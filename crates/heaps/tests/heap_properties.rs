@@ -2,7 +2,8 @@
 //! simple reference priority queue under arbitrary operation sequences.
 
 use heaps::{
-    ArrayHeap, BinaryHeap, FibonacciHeap, IndexedPriorityQueue, LeftistHeap, PairingHeap, SkewHeap,
+    ArrayHeap, BinaryHeap, FibonacciHeap, IndexedPriorityQueue, LeftistHeap, PairingHeap,
+    RadixHeap, SkewHeap,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -108,8 +109,100 @@ fn run_against_model<Q: IndexedPriorityQueue<u64>>(ops: &[Op], universe: usize) 
     assert!(model.set.is_empty());
 }
 
+/// A Dijkstra-shaped operation: keys are offsets above the last popped
+/// priority, so every push and decrease is monotone.
+#[derive(Debug, Clone)]
+enum MonotoneOp {
+    Push(usize, u64),
+    /// Lowers the item's key to `floor + (current - floor) * num / 8`.
+    DecreaseKey(usize, u64),
+    PopMin,
+}
+
+/// Offsets from small ties up to the top bits, so every radix bucket and
+/// its redistribution get exercised.
+fn offset_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..4,
+        0u64..1000,
+        (0u64..1000).prop_map(|x| (1 << 40) + x),
+        (0u64..64).prop_map(|b| 1u64 << b),
+        Just(u64::MAX),
+    ]
+}
+
+fn monotone_op_strategy(universe: usize) -> impl Strategy<Value = MonotoneOp> {
+    prop_oneof![
+        (0..universe, offset_strategy()).prop_map(|(i, d)| MonotoneOp::Push(i, d)),
+        (0..universe, 0u64..9).prop_map(|(i, num)| MonotoneOp::DecreaseKey(i, num)),
+        Just(MonotoneOp::PopMin),
+    ]
+}
+
+/// Drives the radix heap and the binary heap through the same monotone
+/// sequence: they must pop the same priorities and agree on `len`,
+/// `contains` and `priority` after every operation.
+///
+/// Equal priorities may pop in different orders, so the binary side
+/// addresses item `alias[i]` where the radix side addresses `i`; a tie
+/// popped differently swaps the two aliases, which keeps both heaps in the
+/// same state up to naming.
+fn radix_matches_binary(ops: &[MonotoneOp], universe: usize) {
+    let mut radix: RadixHeap<u64> = RadixHeap::with_capacity(universe);
+    let mut binary: BinaryHeap<u64> = BinaryHeap::with_capacity(universe);
+    let mut alias: Vec<usize> = (0..universe).collect();
+    // Keys stay below u64::MAX, the sentinel Dijkstra never queues.
+    let mut floor = 0u64;
+    for op in ops {
+        match *op {
+            MonotoneOp::Push(item, offset) => {
+                if !radix.contains(item) {
+                    let p = floor.saturating_add(offset).min(u64::MAX - 1);
+                    radix.push(item, p);
+                    binary.push(alias[item], p);
+                }
+            }
+            MonotoneOp::DecreaseKey(item, num) => {
+                if let Some(&old) = radix.priority(item) {
+                    let lowered = u128::from(old - floor) * u128::from(num) / 8;
+                    let p = floor + u64::try_from(lowered).expect("below old - floor");
+                    radix.decrease_key(item, p);
+                    binary.decrease_key(alias[item], p);
+                }
+            }
+            MonotoneOp::PopMin => match (radix.pop_min(), binary.pop_min()) {
+                (Some((r, p)), Some((b, q))) => {
+                    assert_eq!(p, q, "popped priority");
+                    floor = p;
+                    if alias[r] != b {
+                        let other = alias.iter().position(|&a| a == b).expect("alias");
+                        alias.swap(r, other);
+                    }
+                }
+                (r, b) => assert_eq!(r, b, "one heap ran empty first"),
+            },
+        }
+        assert_eq!(radix.len(), binary.len());
+        for (item, &b) in alias.iter().enumerate() {
+            assert_eq!(radix.contains(item), binary.contains(b), "contains({item})");
+            assert_eq!(radix.priority(item), binary.priority(b), "priority({item})");
+        }
+    }
+    while let Some((_, p)) = radix.pop_min() {
+        assert_eq!(binary.pop_min().map(|(_, q)| q), Some(p));
+    }
+    assert!(binary.is_empty());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn radix_matches_binary_on_monotone_sequences(
+        ops in prop::collection::vec(monotone_op_strategy(24), 1..300),
+    ) {
+        radix_matches_binary(&ops, 24);
+    }
 
     #[test]
     fn fibonacci_matches_model(ops in prop::collection::vec(op_strategy(24), 1..200)) {

@@ -1,6 +1,7 @@
-//! E9 — heap ablation: the same layered-graph Dijkstra driven by the
-//! Fibonacci heap (Theorem 1's choice), a pairing heap, a binary heap,
-//! and the CFZ-era array scan.
+//! E9 — heap ablation: the same layered-graph Dijkstra driven by every
+//! [`HeapKind`]: the Fibonacci heap (Theorem 1's choice), the pairing,
+//! binary, skew and leftist heaps, the monotone radix heap the residual
+//! search kernel uses, and the CFZ-era array scan.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wdm_bench::{log2_ceil, sparse_instance};

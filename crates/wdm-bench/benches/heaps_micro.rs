@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use heaps::{
     ArrayHeap, BinaryHeap, FibonacciHeap, HeapKind, IndexedPriorityQueue, LeftistHeap, PairingHeap,
-    SkewHeap,
+    RadixHeap, SkewHeap,
 };
 
 const N: usize = 4096;
@@ -82,6 +82,7 @@ fn bench(c: &mut Criterion) {
                         HeapKind::Binary => run::<BinaryHeap<u64>>("b", workload, &prios),
                         HeapKind::Skew => run::<SkewHeap<u64>>("s", workload, &prios),
                         HeapKind::Leftist => run::<LeftistHeap<u64>>("l", workload, &prios),
+                        HeapKind::Radix => run::<RadixHeap<u64>>("r", workload, &prios),
                         HeapKind::Array => run::<ArrayHeap<u64>>("a", workload, &prios),
                     };
                     std::hint::black_box(out)

@@ -11,7 +11,7 @@ use crate::dijkstra::{dijkstra_with, DijkstraWorkspace};
 use crate::{Cost, Semilightpath, WdmNetwork};
 use heaps::{
     ArrayHeap, BinaryHeap, FibonacciHeap, HeapKind, IndexedPriorityQueue, LeftistHeap, PairingHeap,
-    SkewHeap,
+    RadixHeap, SkewHeap,
 };
 use wdm_graph::NodeId;
 
@@ -276,6 +276,7 @@ fn solve_rows_with(
         HeapKind::Array => solve_rows::<ArrayHeap<Cost>>(aux, first_row, rows, n),
         HeapKind::Skew => solve_rows::<SkewHeap<Cost>>(aux, first_row, rows, n),
         HeapKind::Leftist => solve_rows::<LeftistHeap<Cost>>(aux, first_row, rows, n),
+        HeapKind::Radix => solve_rows::<RadixHeap<Cost>>(aux, first_row, rows, n),
     }
 }
 

@@ -79,6 +79,15 @@ impl Cost {
     }
 }
 
+/// Costs bucket by their raw value; [`Cost::INFINITY`] maps to
+/// `u64::MAX`, which Dijkstra never queues (no finite tentative distance
+/// improves to it).
+impl heaps::RadixKey for Cost {
+    fn radix_key(&self) -> u64 {
+        self.0
+    }
+}
+
 impl From<u64> for Cost {
     fn from(value: u64) -> Self {
         Cost::new(value)

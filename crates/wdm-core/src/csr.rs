@@ -88,6 +88,19 @@ impl CsrGraph {
         })
     }
 
+    /// The out-edges of `node` as the dense index of the first one plus
+    /// their target and cost slices — the search kernel's view, which
+    /// reads no [`EdgeRole`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub(crate) fn out_slices(&self, node: usize) -> (usize, &[u32], &[Cost]) {
+        assert!(node + 1 < self.offsets.len(), "node {node} out of range");
+        let (start, end) = (self.offsets[node], self.offsets[node + 1]);
+        (start, &self.targets[start..end], &self.costs[start..end])
+    }
+
     /// The edge with dense index `index`, as `(source, EdgeRef)`.
     ///
     /// # Panics

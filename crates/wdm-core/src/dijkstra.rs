@@ -11,7 +11,7 @@ use crate::csr::{CsrGraph, EdgeMask};
 use crate::Cost;
 use heaps::{
     ArrayHeap, BinaryHeap, FibonacciHeap, HeapKind, IndexedPriorityQueue, LeftistHeap, PairingHeap,
-    SkewHeap,
+    RadixHeap, SkewHeap,
 };
 
 /// Operation counters from one search-kernel run, for the experiment
@@ -94,10 +94,10 @@ impl ShortestPathTree {
 /// Reusable arenas for repeated Dijkstra runs over one graph.
 ///
 /// Running `n` searches over the shared all-pairs auxiliary graph
-/// (Corollary 1) allocates three `O(kn)` vectors per search when done
-/// naively. A workspace keeps those arenas — distance, parent, and
-/// settled flags — alive across runs so each subsequent search only
-/// pays an `O(kn)` refill (a memset-speed fill, no allocator traffic).
+/// (Corollary 1) allocates two `O(kn)` vectors per search when done
+/// naively. A workspace keeps those arenas — distance and parent —
+/// alive across runs so each subsequent search only pays an `O(kn)`
+/// refill (a memset-speed fill, no allocator traffic).
 /// Combined with a reused heap (see [`IndexedPriorityQueue::clear`]),
 /// one source tree runs allocation-free after the first.
 ///
@@ -125,7 +125,6 @@ impl ShortestPathTree {
 pub struct DijkstraWorkspace {
     dist: Vec<Cost>,
     parent: Vec<Option<(usize, usize)>>,
-    settled: Vec<bool>,
     stats: SearchStats,
     totals: SearchStats,
     source: usize,
@@ -142,7 +141,6 @@ impl DijkstraWorkspace {
         DijkstraWorkspace {
             dist: Vec::with_capacity(n),
             parent: Vec::with_capacity(n),
-            settled: Vec::with_capacity(n),
             stats: SearchStats::default(),
             totals: SearchStats::default(),
             source: 0,
@@ -155,8 +153,6 @@ impl DijkstraWorkspace {
         self.dist.resize(n, Cost::INFINITY);
         self.parent.clear();
         self.parent.resize(n, None);
-        self.settled.clear();
-        self.settled.resize(n, false);
         self.stats = SearchStats::default();
     }
 
@@ -268,34 +264,36 @@ impl DijkstraWorkspace {
 
         while let Some((u, du)) = queue.pop_min() {
             debug_assert_eq!(du, self.dist[u]);
-            self.settled[u] = true;
             self.stats.settled += 1;
             if until == Some(u) {
                 break;
             }
-            for edge in graph.out_edges(u) {
-                if mask.is_some_and(|m| m.is_set(edge.index)) {
+            let (first, targets, costs) = graph.out_slices(u);
+            for (offset, (&v, &cost)) in targets.iter().zip(costs).enumerate() {
+                let index = first + offset;
+                if mask.is_some_and(|m| m.is_set(index)) {
                     self.stats.masked_skips += 1;
                     continue;
                 }
                 self.stats.relaxed += 1;
-                let v = edge.target;
-                if self.settled[v] {
-                    continue;
-                }
-                let candidate = du + edge.cost;
+                let v = v as usize;
+                // A settled v has dist[v] <= du <= candidate, so it never
+                // passes this test: costs are non-negative.
+                let candidate = du + cost;
                 if candidate < self.dist[v] {
-                    // Finite old distance means v is already queued, so
-                    // the improvement is an effective decrease-key; an
+                    // An unsettled node with a finite distance is already
+                    // queued, so the improvement is a decrease-key; an
                     // infinite one means this is v's first insertion.
-                    if self.dist[v].is_infinite() {
-                        self.stats.pushes += 1;
-                    } else {
-                        self.stats.decrease_keys += 1;
-                    }
+                    let queued = self.dist[v].is_finite();
                     self.dist[v] = candidate;
-                    self.parent[v] = Some((u, edge.index));
-                    queue.push_or_decrease(v, candidate);
+                    self.parent[v] = Some((u, index));
+                    if queued {
+                        queue.decrease_key(v, candidate);
+                        self.stats.decrease_keys += 1;
+                    } else {
+                        queue.push(v, candidate);
+                        self.stats.pushes += 1;
+                    }
                     self.stats.improved += 1;
                 }
             }
@@ -422,66 +420,7 @@ pub fn dijkstra_with(kind: HeapKind, graph: &CsrGraph, source: usize) -> Shortes
         HeapKind::Array => dijkstra::<ArrayHeap<Cost>>(graph, source),
         HeapKind::Skew => dijkstra::<SkewHeap<Cost>>(graph, source),
         HeapKind::Leftist => dijkstra::<LeftistHeap<Cost>>(graph, source),
-    }
-}
-
-/// Dijkstra restricted to a subgraph: nodes with `banned_nodes[v] = true`
-/// are never entered or left, and edges whose dense index is in
-/// `banned_edges` are skipped. Used by Yen's k-shortest-paths spur
-/// searches.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range or `banned_nodes.len()` differs from
-/// the node count. A banned source yields an all-infinite tree.
-pub fn dijkstra_filtered(
-    graph: &CsrGraph,
-    source: usize,
-    banned_nodes: &[bool],
-    banned_edges: &std::collections::HashSet<usize>,
-) -> ShortestPathTree {
-    let n = graph.node_count();
-    assert!(source < n, "source {source} out of range");
-    assert_eq!(banned_nodes.len(), n, "one ban flag per node");
-    let mut dist = vec![Cost::INFINITY; n];
-    let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
-    let mut settled = vec![false; n];
-    let mut stats = DijkstraStats::default();
-    let mut queue: BinaryHeap<Cost> = BinaryHeap::with_capacity(n);
-
-    if !banned_nodes[source] {
-        dist[source] = Cost::ZERO;
-        queue.push(source, Cost::ZERO);
-        stats.pushes += 1;
-    }
-    while let Some((u, du)) = queue.pop_min() {
-        settled[u] = true;
-        stats.settled += 1;
-        for edge in graph.out_edges(u) {
-            stats.relaxed += 1;
-            let v = edge.target;
-            if settled[v] || banned_nodes[v] || banned_edges.contains(&edge.index) {
-                continue;
-            }
-            let candidate = du + edge.cost;
-            if candidate < dist[v] {
-                if dist[v].is_infinite() {
-                    stats.pushes += 1;
-                } else {
-                    stats.decrease_keys += 1;
-                }
-                dist[v] = candidate;
-                parent[v] = Some((u, edge.index));
-                queue.push_or_decrease(v, candidate);
-                stats.improved += 1;
-            }
-        }
-    }
-    ShortestPathTree {
-        dist,
-        parent,
-        source,
-        stats,
+        HeapKind::Radix => dijkstra::<RadixHeap<Cost>>(graph, source),
     }
 }
 

@@ -14,7 +14,8 @@
 //! or rank among the k cheapest in degenerate cost structures).
 
 use crate::auxiliary::AuxiliaryGraph;
-use crate::dijkstra::{dijkstra_filtered, ShortestPathTree};
+use crate::csr::EdgeMask;
+use crate::dijkstra::{dijkstra, dijkstra_masked, ShortestPathTree};
 use crate::{Cost, Semilightpath, WdmError, WdmNetwork};
 use std::collections::{BinaryHeap, HashSet};
 use wdm_graph::NodeId;
@@ -139,10 +140,8 @@ pub fn k_shortest_semilightpaths(
     let aux = AuxiliaryGraph::for_pair(network, s, t);
     let graph = aux.graph();
     let (source, sink) = aux.pair_terminals();
-    let no_bans_nodes = vec![false; graph.node_count()];
-    let no_bans_edges = HashSet::new();
 
-    let first_tree = dijkstra_filtered(graph, source, &no_bans_nodes, &no_bans_edges);
+    let first_tree = dijkstra::<heaps::BinaryHeap<Cost>>(graph, source);
     let Some(first) = AuxPath::from_tree(&first_tree, sink) else {
         return Ok(Vec::new());
     };
@@ -165,21 +164,27 @@ pub fn k_shortest_semilightpaths(
             let root_edges = &last.edges[..spur_idx];
 
             // Ban the next edge of every accepted path sharing this root.
-            let mut banned_edges = HashSet::new();
+            let mut banned = EdgeMask::all_clear(graph.edge_count());
             for p in &accepted {
                 if p.nodes.len() > spur_idx && p.nodes[..=spur_idx] == *root_nodes {
                     if let Some(&e) = p.edges.get(spur_idx) {
-                        banned_edges.insert(e);
+                        banned.set(e);
                     }
                 }
             }
-            // Ban the root's interior nodes so spur paths are loopless.
-            let mut banned_nodes = vec![false; graph.node_count()];
+            // Ban the root's interior nodes so spur paths are loopless: a
+            // node whose in-edges are all masked is never entered.
+            let mut in_root = vec![false; graph.node_count()];
             for &v in &root_nodes[..spur_idx] {
-                banned_nodes[v] = true;
+                in_root[v] = true;
+            }
+            for e in 0..graph.edge_count() {
+                if in_root[graph.edge(e).1.target] {
+                    banned.set(e);
+                }
             }
 
-            let tree = dijkstra_filtered(graph, spur_node, &banned_nodes, &banned_edges);
+            let tree = dijkstra_masked::<heaps::BinaryHeap<Cost>>(graph, spur_node, &banned);
             if let Some(spur) = AuxPath::from_tree(&tree, sink) {
                 let mut nodes = root_nodes.to_vec();
                 nodes.extend_from_slice(&spur.nodes[1..]);

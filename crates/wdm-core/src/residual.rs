@@ -49,7 +49,7 @@ use crate::auxiliary::AuxiliaryGraph;
 use crate::csr::{CsrBuilder, CsrGraph, EdgeMask, EdgeRole};
 use crate::dijkstra::DijkstraWorkspace;
 use crate::{Cost, Hop, Semilightpath, Wavelength, WdmNetwork};
-use heaps::{BinaryHeap, IndexedPriorityQueue};
+use heaps::{IndexedPriorityQueue, RadixHeap};
 use wdm_graph::{LinkId, NodeId};
 
 /// One per-wavelength view of the physical topology: the subgraph of links
@@ -104,14 +104,17 @@ pub struct ResidualState {
 /// lazily sized probe masks, so that after warm-up a request costs one
 /// heap-driven Dijkstra and zero structural work.
 ///
-/// The indexed binary heap wins over the Theorem-1 Fibonacci heap here:
-/// per-request graphs are mid-sized, so the flat sift beats pointer
-/// chasing, and it matches the legacy lightpath routine's heap for the
-/// per-wavelength searches.
+/// The queue is a monotone [`RadixHeap`]: every cost is an integer and
+/// Dijkstra pops keys in non-decreasing order, so bucketing by the
+/// highest bit that differs from the last pop gives `O(1)` pushes and
+/// decrease-keys where a comparison heap pays `O(log n)` sifts. Every
+/// search through a scratch — routes, blocked-cause probes, per-λ
+/// searches — shares this one kernel, so a rebuilt structure with the same
+/// busy bits breaks ties exactly as the persistent one does.
 #[derive(Debug, Clone)]
 pub struct SearchScratch {
     ws: DijkstraWorkspace,
-    heap: BinaryHeap<Cost>,
+    heap: RadixHeap<Cost>,
     /// All-clear mask over the aux graph used by link-excluding probes;
     /// zero-length until first use.
     probe_aux: EdgeMask,
@@ -131,7 +134,7 @@ impl SearchScratch {
         let cap = state.aux.graph().node_count().max(n_phys).max(1);
         SearchScratch {
             ws: DijkstraWorkspace::with_capacity(cap),
-            heap: BinaryHeap::with_capacity(cap),
+            heap: RadixHeap::with_capacity(cap),
             probe_aux: EdgeMask::all_clear(0),
             probe_lambda: Vec::new(),
         }

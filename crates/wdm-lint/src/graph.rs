@@ -240,6 +240,9 @@ impl ItemIndex {
         // A call can only land in a crate the caller's crate depends on;
         // anything else is a same-name coincidence.
         out.retain(|&i| self.crate_reaches(&caller.crate_name, &self.fns[i].crate_name));
+        // Each file outside `src/` (integration test, bench, example) is
+        // a crate of its own that nothing else can call into.
+        out.retain(|&i| self.fns[i].in_src || self.fns[i].file == caller.file);
         out
     }
 
@@ -1379,6 +1382,27 @@ mod tests {
         let resolved2 = idx.resolve(run, go2_call);
         assert_eq!(resolved2.len(), 1);
         assert_eq!(idx.fns[resolved2[0]].qualified_name(), "B::go2");
+    }
+
+    #[test]
+    fn integration_test_fns_are_not_callees_of_library_code() {
+        let idx = ItemIndex::build(&[
+            (
+                "crates/heaps/src/lib.rs".to_string(),
+                "fn drive<Q>(q: &mut Q) { q.shrink_to(1); }\n".to_string(),
+            ),
+            (
+                "crates/heaps/tests/model.rs".to_string(),
+                "struct Model;\n\
+                 impl Model { fn shrink_to(&mut self, n: usize) {} }\n\
+                 fn check(m: &mut Model) { m.shrink_to(2); }\n"
+                    .to_string(),
+            ),
+        ]);
+        let drive = idx.fns.iter().find(|f| f.name == "drive").expect("drive");
+        assert!(idx.resolve(drive, &drive.calls[0]).is_empty());
+        let check = idx.fns.iter().find(|f| f.name == "check").expect("check");
+        assert_eq!(idx.resolve(check, &check.calls[0]).len(), 1);
     }
 
     #[test]
