@@ -1,13 +1,10 @@
-//! One Monte-Carlo replica: a Poisson/exponential event loop over the
-//! provisioning engine.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! One Monte-Carlo replica: Poisson arrivals with exponential holding
+//! times, replayed through [`wdm_rwa::simulate_on`].
 
 use rand::rngs::SmallRng;
 use wdm_core::WdmNetwork;
 use wdm_graph::NodeId;
-use wdm_rwa::{workload, ConnectionId, Policy, ProvisioningEngine};
+use wdm_rwa::{simulate_on, workload, Policy, ProvisioningEngine};
 
 /// Counts from one replica (or a sum over replicas — see
 /// [`ReplicaStats::add`]).
@@ -52,7 +49,7 @@ impl ReplicaStats {
 ///
 /// `load` is the offered load in Erlangs with mean holding time 1; the
 /// replica draws `requests` Poisson arrivals from `rng` and replays
-/// them through an arrival/departure event loop. Deterministic in
+/// them through [`simulate_on`]. Deterministic in
 /// `(net, converters, load, requests, policy, rng state)`.
 pub fn run_replica(
     net: &WdmNetwork,
@@ -74,7 +71,8 @@ pub fn run_replica(
 
 /// As [`run_replica`], but drives a caller-prepared engine (counters
 /// are read as deltas, so an engine with history is fine as long as no
-/// connections are active when the replica starts).
+/// connections are active when the replica starts; the replica releases
+/// what it still holds at the end).
 pub fn run_replica_on(
     engine: &mut ProvisioningEngine,
     load: f64,
@@ -85,39 +83,12 @@ pub fn run_replica_on(
     let n = engine.base().node_count();
     assert!(n >= 2, "campaign instances need at least two nodes");
     let trace = workload::poisson_requests(n, requests, load, 1.0, rng);
-    let (np0, cap0) = engine.blocked_by_cause();
-    let mut departures: BinaryHeap<Reverse<(u64, ConnectionId)>> = BinaryHeap::new();
-    let (mut accepted, mut blocked) = (0u64, 0u64);
-    for req in &trace {
-        // Arrival times are strictly increasing and non-negative, so
-        // their bit patterns order identically to the floats and give
-        // the heap a total key.
-        while let Some(&Reverse((at, id))) = departures.peek() {
-            if f64::from_bits(at) <= req.arrival {
-                departures.pop();
-                let _ = engine.release(id);
-            } else {
-                break;
-            }
-        }
-        match engine.provision(req.s, req.t, policy) {
-            Ok(id) => {
-                accepted += 1;
-                departures.push(Reverse(((req.arrival + req.holding).to_bits(), id)));
-            }
-            Err(_) => blocked += 1,
-        }
-    }
-    // Drain the still-held connections so a reused engine ends quiescent.
-    while let Some(Reverse((_, id))) = departures.pop() {
-        let _ = engine.release(id);
-    }
-    let (np1, cap1) = engine.blocked_by_cause();
+    let stats = simulate_on(engine, &trace, policy);
     ReplicaStats {
-        requests: trace.len() as u64,
-        accepted,
-        blocked,
-        no_path: np1 - np0,
-        capacity: cap1 - cap0,
+        requests: stats.offered,
+        accepted: stats.accepted,
+        blocked: stats.blocked,
+        no_path: stats.blocked_no_path,
+        capacity: stats.blocked_capacity,
     }
 }

@@ -146,7 +146,7 @@ impl<'a> Search<'a> {
             .records
             .iter()
             .enumerate()
-            .filter(|(i, _)| !done[*i])
+            .filter(|&(i, _)| !done[i])
             .map(|(_, r)| r.responded_at)
             .min()
         else {

@@ -117,23 +117,6 @@ impl CsrGraph {
             },
         )
     }
-
-    /// Iterates the outgoing edges of `node`, skipping edges whose dense
-    /// index is set in `mask`.
-    ///
-    /// This is the residual-capacity view of the graph: the structure is
-    /// shared and immutable, only the mask changes between searches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn out_edges_masked<'a>(
-        &'a self,
-        node: usize,
-        mask: &'a EdgeMask,
-    ) -> impl Iterator<Item = EdgeRef> + 'a {
-        self.out_edges(node).filter(move |e| !mask.is_set(e.index))
-    }
 }
 
 /// A bitmask over the dense edge indices of a [`CsrGraph`].
@@ -344,21 +327,6 @@ impl EdgeMask {
         self.set_count.fetch_sub(1, RELAXED);
         true
     }
-
-    /// Atomically sets bit `index` to `value` through `&self`; returns
-    /// `true` when the bit changed. The shared counterpart of
-    /// [`set_to`](Self::set_to).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn fetch_set_to(&self, index: usize, value: bool) -> bool {
-        if value {
-            self.fetch_set(index)
-        } else {
-            self.fetch_clear(index)
-        }
-    }
 }
 
 /// Incremental builder producing a [`CsrGraph`].
@@ -545,10 +513,6 @@ mod tests {
             assert_eq!(a.clear(i), b.fetch_clear(i), "clear {i}");
         }
         assert_eq!(a, b);
-        for (i, v) in [(5, true), (5, true), (5, false), (64, false)] {
-            assert_eq!(a.set_to(i, v), b.fetch_set_to(i, v), "set_to {i} {v}");
-        }
-        assert_eq!(a, b);
         assert_eq!(a.set_count(), b.set_count());
     }
 
@@ -583,22 +547,5 @@ mod tests {
         assert_eq!(copy.set_count(), 2);
         copy.fetch_clear(3);
         assert_ne!(copy, src);
-    }
-
-    #[test]
-    fn masked_adjacency_skips_set_edges() {
-        let mut b = CsrBuilder::new(3);
-        b.add_edge(0, 1, Cost::new(5), EdgeRole::Tap);
-        b.add_edge(0, 2, Cost::new(7), EdgeRole::Tap);
-        b.add_edge(2, 1, Cost::new(1), EdgeRole::Tap);
-        let g = b.build();
-        let mut mask = EdgeMask::all_clear(g.edge_count());
-        mask.set(0);
-        let out0: Vec<usize> = g.out_edges_masked(0, &mask).map(|e| e.target).collect();
-        assert_eq!(out0, vec![2]);
-        let out2: Vec<usize> = g.out_edges_masked(2, &mask).map(|e| e.target).collect();
-        assert_eq!(out2, vec![1]);
-        mask.clear(0);
-        assert_eq!(g.out_edges_masked(0, &mask).count(), 2);
     }
 }

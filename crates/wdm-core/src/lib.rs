@@ -86,6 +86,8 @@ mod route;
 mod survivability;
 /// Plain-text `.wdm` instance serialization.
 pub mod textfmt;
+/// The Theorem-1 construction verifier (checks M1–M7) for built `G_all`.
+pub mod verify;
 mod wavelength;
 
 pub use all_pairs::{AllPairs, AllPairsPaths};

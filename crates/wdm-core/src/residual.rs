@@ -115,11 +115,11 @@ pub struct ResidualState {
 pub struct SearchScratch {
     ws: DijkstraWorkspace,
     heap: RadixHeap<Cost>,
-    /// All-clear mask over the aux graph used by link-excluding probes;
-    /// zero-length until first use.
+    /// Mask over the aux graph used by the free-network probes: all
+    /// clear between calls, zero-length until first use.
     probe_aux: EdgeMask,
-    /// All-clear masks over the per-λ graphs for link-excluding probes;
-    /// empty until first use.
+    /// Masks over the per-λ graphs for the single-wavelength probe: all
+    /// clear between calls, empty until first use.
     probe_lambda: Vec<EdgeMask>,
 }
 
@@ -378,9 +378,13 @@ impl ResidualState {
     }
 
     /// Whether `t` is reachable from `s` when **every** resource is
-    /// free — i.e. on the unmasked persistent structure. Used to
-    /// classify blocked requests: a pair that fails this probe is
-    /// blocked by topology (`no_path`), anything else by occupancy.
+    /// free — i.e. on the unmasked persistent structure — except every
+    /// wavelength of each link in `excluded`, which is unavailable (an
+    /// empty slice means no cut). Used to classify blocked requests: a
+    /// pair that fails this probe is blocked by topology (`no_path`),
+    /// anything else by occupancy; while fibres are cut, a pair whose
+    /// only free-network routes crossed one of them is blocked by
+    /// topology, not capacity.
     ///
     /// `s == t` is trivially reachable. The probe's search work is
     /// accumulated into the totals like any other run; callers that
@@ -389,29 +393,8 @@ impl ResidualState {
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint is out of range.
-    pub fn reachable_when_free(&self, scratch: &mut SearchScratch, s: NodeId, t: NodeId) -> bool {
-        if s == t {
-            return true;
-        }
-        let (source, _) = self.aux.all_pairs_terminals(s);
-        let (_, sink) = self.aux.all_pairs_terminals(t);
-        scratch
-            .ws
-            .run_to(self.aux.graph(), source, &mut scratch.heap, sink);
-        scratch.ws.dist()[sink].is_finite()
-    }
-
-    /// Like [`reachable_when_free`](Self::reachable_when_free) but with
-    /// every wavelength of each link in `excluded` unavailable — the
-    /// probe behind failed-link-aware blocked-cause classification:
-    /// while fibres are cut, a pair whose only free-network routes
-    /// crossed one of them is blocked by topology, not capacity.
-    ///
-    /// # Panics
-    ///
     /// Panics if an endpoint or any excluded link is out of range.
-    pub fn reachable_when_free_excluding(
+    pub fn reachable_when_free(
         &self,
         scratch: &mut SearchScratch,
         s: NodeId,
@@ -448,7 +431,8 @@ impl ResidualState {
     }
 
     /// Whether some **single** wavelength connects `s` to `t` when every
-    /// resource is free — the no-conversion counterpart of
+    /// resource is free except the links in `excluded` (an empty slice
+    /// means no cut) — the no-conversion counterpart of
     /// [`reachable_when_free`](Self::reachable_when_free), matching what
     /// first-fit / lightpath-only policies could ever route.
     ///
@@ -457,34 +441,8 @@ impl ResidualState {
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint is out of range.
-    pub fn reachable_when_free_single_wavelength(
-        &self,
-        scratch: &mut SearchScratch,
-        s: NodeId,
-        t: NodeId,
-    ) -> bool {
-        if s == t {
-            return false;
-        }
-        for lg in &self.lambda {
-            scratch
-                .ws
-                .run_to(&lg.graph, s.index(), &mut scratch.heap, t.index());
-            if scratch.ws.dist()[t.index()].is_finite() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The single-wavelength counterpart of
-    /// [`reachable_when_free_excluding`](Self::reachable_when_free_excluding).
-    ///
-    /// # Panics
-    ///
     /// Panics if an endpoint or any excluded link is out of range.
-    pub fn reachable_when_free_single_wavelength_excluding(
+    pub fn reachable_when_free_single_wavelength(
         &self,
         scratch: &mut SearchScratch,
         s: NodeId,
@@ -792,29 +750,28 @@ mod tests {
         let net = chain();
         let state = ResidualState::new(&net);
         let mut scratch = SearchScratch::for_state(&state);
-        // Free network: 0 → 2 reachable, also on a single wavelength.
-        assert!(state.reachable_when_free(&mut scratch, 0.into(), 2.into()));
-        assert!(state.reachable_when_free_single_wavelength(&mut scratch, 0.into(), 2.into()));
+        // Free network (no exclusions): 0 → 2 reachable, also on a
+        // single wavelength.
+        assert!(state.reachable_when_free(&mut scratch, 0.into(), 2.into(), &[]));
+        assert!(state.reachable_when_free_single_wavelength(&mut scratch, 0.into(), 2.into(), &[]));
         // Excluding the only middle link cuts 0 → 2 but not 0 → 1.
         let cut = [LinkId::new(1)];
-        assert!(!state.reachable_when_free_excluding(&mut scratch, 0.into(), 2.into(), &cut));
-        assert!(state.reachable_when_free_excluding(&mut scratch, 0.into(), 1.into(), &cut));
-        assert!(!state.reachable_when_free_single_wavelength_excluding(
+        assert!(!state.reachable_when_free(&mut scratch, 0.into(), 2.into(), &cut));
+        assert!(state.reachable_when_free(&mut scratch, 0.into(), 1.into(), &cut));
+        assert!(!state.reachable_when_free_single_wavelength(
             &mut scratch,
             0.into(),
             2.into(),
             &cut
         ));
-        assert!(state.reachable_when_free_single_wavelength_excluding(
+        assert!(state.reachable_when_free_single_wavelength(
             &mut scratch,
             0.into(),
             1.into(),
             &cut
         ));
-        // An empty exclusion set degenerates to the plain probe; a
-        // multi-link set masks every listed link at once.
-        assert!(state.reachable_when_free_excluding(&mut scratch, 0.into(), 2.into(), &[]));
-        assert!(!state.reachable_when_free_excluding(
+        // A multi-link set masks every listed link at once.
+        assert!(!state.reachable_when_free(
             &mut scratch,
             0.into(),
             1.into(),
@@ -823,7 +780,7 @@ mod tests {
         // The probe masks are scratch-local and restored after each call:
         // the same probes answer identically a second time, and normal
         // routing still sees a fully free network.
-        assert!(!state.reachable_when_free_excluding(&mut scratch, 0.into(), 2.into(), &cut));
+        assert!(!state.reachable_when_free(&mut scratch, 0.into(), 2.into(), &cut));
         assert!(state
             .route_optimal(&mut scratch, 0.into(), 2.into())
             .is_some());
@@ -915,10 +872,10 @@ mod tests {
         residual.set_busy(LinkId::new(0), Wavelength::new(1), true);
         assert!(residual.route_optimal(0.into(), 2.into()).is_none());
         let (state, scratch) = residual.split_mut();
-        assert!(state.reachable_when_free(scratch, 0.into(), 2.into()));
+        assert!(state.reachable_when_free(scratch, 0.into(), 2.into(), &[]));
         // Node 2 has no outgoing links: blocked by topology.
-        assert!(!state.reachable_when_free(scratch, 2.into(), 0.into()));
-        assert!(state.reachable_when_free(scratch, 1.into(), 1.into()));
+        assert!(!state.reachable_when_free(scratch, 2.into(), 0.into(), &[]));
+        assert!(state.reachable_when_free(scratch, 1.into(), 1.into(), &[]));
     }
 
     #[test]

@@ -167,14 +167,14 @@ proptest! {
                 // Blocked-cause probes against binary-heap searches on the
                 // free network with the cut links deleted.
                 prop_assert_eq!(
-                    state.reachable_when_free(&mut scratch, s, t),
+                    state.reachable_when_free(&mut scratch, s, t, &[]),
                     route(&net, HeapKind::Binary, s, t).is_some(),
                     "{}: reachable_when_free", what
                 );
                 prop_assert_eq!(
-                    state.reachable_when_free_excluding(&mut scratch, s, t, &cut),
+                    state.reachable_when_free(&mut scratch, s, t, &cut),
                     route(&free_uncut, HeapKind::Binary, s, t).is_some(),
-                    "{}: reachable_when_free_excluding", what
+                    "{}: reachable_when_free excluding the cut", what
                 );
                 let single_lambda = |w: usize, keep: &dyn Fn(LinkId) -> bool| {
                     let only_w = net.restrict(|l, lam| lam.index() == w && keep(l));
@@ -184,12 +184,12 @@ proptest! {
                     s != t && (0..k).any(|w| single_lambda(w, keep).is_some())
                 };
                 prop_assert_eq!(
-                    state.reachable_when_free_single_wavelength(&mut scratch, s, t),
+                    state.reachable_when_free_single_wavelength(&mut scratch, s, t, &[]),
                     any_lambda(&|_| true),
                     "{}: single-λ probe", what
                 );
                 prop_assert_eq!(
-                    state.reachable_when_free_single_wavelength_excluding(&mut scratch, s, t, &cut),
+                    state.reachable_when_free_single_wavelength(&mut scratch, s, t, &cut),
                     any_lambda(&|l| !is_cut(l)),
                     "{}: single-λ excluding probe", what
                 );

@@ -8,7 +8,7 @@
 //!   `unreachable!()`, `todo!`/`unimplemented!`, or arithmetic indexing
 //!   without a guarding assertion) through any call chain;
 //! * **allocation reachability** — which functions can reach an
-//!   allocating call (the same token set rule L2 checks per-function:
+//!   allocating call (the token set rule L7 reports:
 //!   `Vec::new`, `Box::new`, `.to_vec()`, `.clone()`, `.collect`,
 //!   `format!`, `vec!`).
 //!
@@ -138,13 +138,13 @@ pub fn witness_chain(index: &ItemIndex, reach: &[Option<Witness>], fn_id: usize)
     let mut cur = fn_id;
     let mut hops = 0;
     loop {
-        match &reach[cur] {
+        match reach[cur] {
             Some(Witness::Via { callee, .. }) if hops < 12 => {
-                parts.push(index.fns[*callee].qualified_name());
-                cur = *callee;
+                parts.push(index.fns[callee].qualified_name());
+                cur = callee;
                 hops += 1;
             }
-            Some(Witness::Direct(sink)) => {
+            Some(Witness::Direct(ref sink)) => {
                 let file = &index.files[index.fn_file[cur]];
                 let short = file.rel.rsplit('/').next().unwrap_or(&file.rel);
                 parts.push(format!("{} ({short}:{})", sink.what, sink.line));
@@ -368,7 +368,7 @@ fn is_expr_breaker(text: &str) -> bool {
     )
 }
 
-/// Direct allocation sinks of `f` — the same token set as rule L2
+/// Direct allocation sinks of `f` — the token set rule L7 reports
 /// (empty for test fns).
 pub fn alloc_sinks(index: &ItemIndex, f: &FnDef) -> Vec<Sink> {
     if f.is_test {
@@ -377,22 +377,26 @@ pub fn alloc_sinks(index: &ItemIndex, f: &FnDef) -> Vec<Sink> {
     let file = &index.files[index.fn_file[f.id]];
     let mut sinks = Vec::new();
     for call in &f.calls {
-        let what = match (&call.kind, call.name.as_str()) {
-            (CallKind::Path(q), "new") if q == "Vec" || q == "Box" => Some(format!("`{q}::new`")),
+        let (what, line, col) = match (&call.kind, call.name.as_str()) {
+            (CallKind::Path(q), "new") if q == "Vec" || q == "Box" => {
+                // Reported at the path's head (`Box`), not at `new`.
+                let head = file.tokens[..call.token_idx]
+                    .iter()
+                    .rev()
+                    .find(|t| t.is_ident(q));
+                let (line, col) = head.map_or((call.line, call.col), |t| (t.line, t.col));
+                (format!("`{q}::new`"), line, col)
+            }
             (CallKind::Method(_), "to_vec" | "clone" | "collect") => {
-                Some(format!("`.{}()`", call.name))
+                (format!("`.{}()`", call.name), call.line, call.col)
             }
-            (CallKind::Macro, "format" | "vec") => Some(format!("`{}!`", call.name)),
-            _ => None,
+            (CallKind::Macro, "format" | "vec") => {
+                (format!("`{}!`", call.name), call.line, call.col)
+            }
+            _ => continue,
         };
-        if let Some(what) = what {
-            if !file.is_allowed("alloc_reach", call.line) {
-                sinks.push(Sink {
-                    what,
-                    line: call.line,
-                    col: call.col,
-                });
-            }
+        if !file.is_allowed("alloc_reach", call.line) {
+            sinks.push(Sink { what, line, col });
         }
     }
     sinks

@@ -2,21 +2,18 @@
 
 use std::fmt;
 use std::path::Path;
+use wdm_core::verify::{Check, Violation};
 
 /// Which rule produced a finding.
 ///
-/// `L*` rules come from the source engine ([`crate::source`]), `M*` rules
-/// from the model verifier ([`crate::model`]). The slug (see
+/// `L*` rules come from the source linter ([`crate::source`] and
+/// [`crate::rules_v2`]); `M*` rules are the construction checks of
+/// [`wdm_core::verify`], reported through [`crate::model`]. The slug (see
 /// [`Rule::slug`]) is what suppression comments name:
-/// `// wdm-lint: allow(no_unwrap) — reason`.
+/// `// wdm-lint: allow(panic_reach) — reason`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Rule {
-    /// L1 — no `unwrap()` / `expect()` / `panic!` in non-test library
-    /// code (typed errors or `assert!`/`unreachable!` invariants instead).
-    NoUnwrap,
-    /// L2 — no allocating calls inside `// wdm-lint: hot-path` functions.
-    HotPathAlloc,
     /// L3 — every `unsafe` token needs an immediately preceding
     /// `// SAFETY:` comment.
     UnsafeNeedsSafety,
@@ -25,13 +22,13 @@ pub enum Rule {
     OrderingJustification,
     /// L5 — public items need doc comments.
     MissingDocs,
-    /// L6 — library code in deny-tier crates must not *reach* a panic
-    /// primitive (`unwrap`/`expect`/`panic!`/bare `unreachable!()`/
-    /// unguarded arithmetic indexing) through any call chain in the
-    /// workspace call graph.
+    /// L6 — library code in deny-tier crates must not contain or *reach*
+    /// a panic primitive (`unwrap`/`expect`/`panic!`/bare
+    /// `unreachable!()`/unguarded arithmetic indexing) through any call
+    /// chain in the workspace call graph.
     PanicReach,
-    /// L7 — `// wdm-lint: hot-path` functions must not reach an
-    /// allocating call through any call chain.
+    /// L7 — `// wdm-lint: hot-path` functions must not contain or reach
+    /// an allocating call through any call chain.
     AllocReach,
     /// L8 — lossy `as` casts (integer narrowing, sign loss, float→int)
     /// outside `// wdm-lint: cast-checked: <reason>` sites.
@@ -41,33 +38,13 @@ pub enum Rule {
     /// validate before publishes, publishes follow claims, seqlock reads
     /// revalidate.
     ProtocolOrder,
-    /// M1 — Theorem 1 node-count formula violated.
-    Theorem1NodeCount,
-    /// M2 — Theorem 1 edge-count formula violated.
-    Theorem1EdgeCount,
-    /// M3 — a conversion gadget `G_v` is not bipartite `X_v → Y_v`, or a
-    /// diagonal `c_v(λ, λ)` edge has non-zero cost, or a gadget edge cost
-    /// disagrees with the conversion policy.
-    GadgetShape,
-    /// M4 — a traversal edge disagrees with the base multigraph
-    /// (endpoints, wavelength, cost, or multiplicity).
-    TraversalShape,
-    /// M5 — a super-source/sink tap arc is not zero-cost, or a terminal
-    /// has edges on the wrong side.
-    TerminalShape,
-    /// M6 — an EdgeMask/CSR cross-index is out of bounds, points at the
-    /// wrong edge, or a busy flip is not an involution with release.
-    MaskIndex,
-    /// M7 — the Restriction 1/2 gate (`restrictions.rs` fast-path
-    /// preconditions) disagrees with an independent recomputation.
-    RestrictionGate,
+    /// M1–M7 — a construction check of [`wdm_core::verify`] failed.
+    Model(Check),
 }
 
 impl Rule {
     /// Every rule, in report order.
-    pub const ALL: [Rule; 16] = [
-        Rule::NoUnwrap,
-        Rule::HotPathAlloc,
+    pub const ALL: [Rule; 14] = [
         Rule::UnsafeNeedsSafety,
         Rule::OrderingJustification,
         Rule::MissingDocs,
@@ -75,20 +52,18 @@ impl Rule {
         Rule::AllocReach,
         Rule::LossyCast,
         Rule::ProtocolOrder,
-        Rule::Theorem1NodeCount,
-        Rule::Theorem1EdgeCount,
-        Rule::GadgetShape,
-        Rule::TraversalShape,
-        Rule::TerminalShape,
-        Rule::MaskIndex,
-        Rule::RestrictionGate,
+        Rule::Model(Check::Theorem1NodeCount),
+        Rule::Model(Check::Theorem1EdgeCount),
+        Rule::Model(Check::GadgetShape),
+        Rule::Model(Check::TraversalShape),
+        Rule::Model(Check::TerminalShape),
+        Rule::Model(Check::MaskIndex),
+        Rule::Model(Check::RestrictionGate),
     ];
 
     /// Stable machine name, used in JSON output and suppression comments.
     pub fn slug(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => "no_unwrap",
-            Rule::HotPathAlloc => "hot_path_alloc",
             Rule::UnsafeNeedsSafety => "unsafe_needs_safety",
             Rule::OrderingJustification => "ordering_justification",
             Rule::MissingDocs => "missing_docs",
@@ -96,21 +71,13 @@ impl Rule {
             Rule::AllocReach => "alloc_reach",
             Rule::LossyCast => "lossy_cast",
             Rule::ProtocolOrder => "protocol_order",
-            Rule::Theorem1NodeCount => "theorem1_node_count",
-            Rule::Theorem1EdgeCount => "theorem1_edge_count",
-            Rule::GadgetShape => "gadget_shape",
-            Rule::TraversalShape => "traversal_shape",
-            Rule::TerminalShape => "terminal_shape",
-            Rule::MaskIndex => "mask_index",
-            Rule::RestrictionGate => "restriction_gate",
+            Rule::Model(check) => check.slug(),
         }
     }
 
-    /// Short display code (`L1`..`L5`, `M1`..`M7`).
+    /// Short display code (`L3`..`L9`, `M1`..`M7`).
     pub fn code(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => "L1",
-            Rule::HotPathAlloc => "L2",
             Rule::UnsafeNeedsSafety => "L3",
             Rule::OrderingJustification => "L4",
             Rule::MissingDocs => "L5",
@@ -118,13 +85,7 @@ impl Rule {
             Rule::AllocReach => "L7",
             Rule::LossyCast => "L8",
             Rule::ProtocolOrder => "L9",
-            Rule::Theorem1NodeCount => "M1",
-            Rule::Theorem1EdgeCount => "M2",
-            Rule::GadgetShape => "M3",
-            Rule::TraversalShape => "M4",
-            Rule::TerminalShape => "M5",
-            Rule::MaskIndex => "M6",
-            Rule::RestrictionGate => "M7",
+            Rule::Model(check) => check.code(),
         }
     }
 
@@ -136,8 +97,6 @@ impl Rule {
     /// One-line rule description, used in the SARIF rules table.
     pub fn description(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => "no unwrap/expect/panic! in non-test library code",
-            Rule::HotPathAlloc => "no allocating calls inside hot-path functions",
             Rule::UnsafeNeedsSafety => "every `unsafe` needs a preceding // SAFETY: comment",
             Rule::OrderingJustification => {
                 "atomic Ordering uses need justification or an audited module"
@@ -151,13 +110,7 @@ impl Rule {
             }
             Rule::LossyCast => "lossy `as` casts need try_from or a cast-checked justification",
             Rule::ProtocolOrder => "seqlock/shard-claim protocol order in protocol-marked files",
-            Rule::Theorem1NodeCount => "Theorem 1 node-count closed form",
-            Rule::Theorem1EdgeCount => "Theorem 1 edge-count closed form",
-            Rule::GadgetShape => "conversion gadget bipartite shape and costs",
-            Rule::TraversalShape => "traversal edges match the base multigraph",
-            Rule::TerminalShape => "super-source/sink taps are zero-cost and one-sided",
-            Rule::MaskIndex => "EdgeMask/CSR cross-index integrity and busy-flip involution",
-            Rule::RestrictionGate => "Restriction 1/2 gates match independent recomputation",
+            Rule::Model(check) => check.description(),
         }
     }
 }
@@ -171,7 +124,7 @@ impl fmt::Display for Rule {
 /// How severe a finding is for the exit code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Reported but never fails the run (report-only scopes, e.g. L1
+    /// Reported but never fails the run (report-only scopes, e.g. L6
     /// extended over `wdm-cli`).
     Warning,
     /// Fails the run under `--deny`.
@@ -218,15 +171,15 @@ impl Finding {
         }
     }
 
-    /// A deny-severity model finding against `instance`.
-    pub fn model(rule: Rule, instance: &str, message: String) -> Self {
+    /// A deny-severity model finding: `violation` found in `instance`.
+    pub fn model(violation: Violation, instance: &str) -> Self {
         Finding {
-            rule,
+            rule: Rule::Model(violation.check),
             severity: Severity::Deny,
             file: instance.to_string(),
             line: 0,
             col: 0,
-            message,
+            message: violation.message,
         }
     }
 }
@@ -396,6 +349,13 @@ pub fn render_text(findings: &[Finding], root: &Path) -> String {
 mod tests {
     use super::*;
 
+    fn violation(check: Check) -> Violation {
+        Violation {
+            check,
+            message: "bad".into(),
+        }
+    }
+
     #[test]
     fn slugs_round_trip() {
         for rule in Rule::ALL {
@@ -407,10 +367,10 @@ mod tests {
     #[test]
     fn json_escapes_and_counts() {
         let findings = vec![
-            Finding::source(Rule::NoUnwrap, "a \"b\".rs", 3, 7, "uses\nunwrap".into()),
+            Finding::source(Rule::PanicReach, "a \"b\".rs", 3, 7, "uses\nunwrap".into()),
             Finding {
                 severity: Severity::Warning,
-                ..Finding::model(Rule::MaskIndex, "inst", "bad".into())
+                ..Finding::model(violation(Check::MaskIndex), "inst")
             },
         ];
         let json = render_json(&findings);
@@ -422,9 +382,9 @@ mod tests {
 
     #[test]
     fn display_forms() {
-        let f = Finding::source(Rule::NoUnwrap, "x.rs", 3, 7, "m".into());
-        assert_eq!(f.to_string(), "deny: [L1] x.rs:3:7: m");
-        let m = Finding::model(Rule::GadgetShape, "chain", "bad".into());
+        let f = Finding::source(Rule::PanicReach, "x.rs", 3, 7, "m".into());
+        assert_eq!(f.to_string(), "deny: [L6] x.rs:3:7: m");
+        let m = Finding::model(violation(Check::GadgetShape), "chain");
         assert_eq!(m.to_string(), "deny: [M3] chain: bad");
     }
 }

@@ -390,8 +390,7 @@ impl ItemIndex {
             if t.text.contains("wdm-lint: protocol: seqlock") {
                 protocol_seqlock = true;
             }
-            if let Some(at) = t.text.find("wdm-lint: cast-checked") {
-                let rest = &t.text[at + "wdm-lint: cast-checked".len()..];
+            if let Some((_, rest)) = t.text.split_once("wdm-lint: cast-checked") {
                 let has_reason = rest
                     .trim_start_matches(':')
                     .trim_start_matches('—')
@@ -548,31 +547,26 @@ fn local_type(index: &ItemIndex, caller: &FnDef, name: &str) -> Option<String> {
             i += 1;
             continue;
         }
-        if toks[j + 1].is_punct(':') {
-            // `let [mut] name: T` — join type tokens until `=` or `;`.
-            let mut ty = String::new();
-            let mut k = j + 2;
-            while k < end && !toks[k].is_punct('=') && !toks[k].is_punct(';') {
-                if !ty.is_empty() {
-                    ty.push(' ');
+        match toks.get(j + 1..end).unwrap_or_default() {
+            [colon, ty @ ..] if colon.is_punct(':') => {
+                // `let [mut] name: T` — join type tokens until `=` or `;`.
+                let ty: Vec<&str> = ty
+                    .iter()
+                    .take_while(|t| !t.is_punct('=') && !t.is_punct(';'))
+                    .map(|t| t.text.as_str())
+                    .collect();
+                return principal_type(&ty.join(" "));
+            }
+            [eq, head, t3, t4, ..] if eq.is_punct('=') => {
+                // `let [mut] name = Type::ctor(…)` / `= Type { … }` — infer
+                // the type from the constructor path head.
+                let is_type_head = head.kind == TokenKind::Ident
+                    && head.text.chars().next().is_some_and(char::is_uppercase);
+                if is_type_head && ((t3.is_punct(':') && t4.is_punct(':')) || t3.is_punct('{')) {
+                    return Some(head.text.clone());
                 }
-                ty.push_str(&toks[k].text);
-                k += 1;
             }
-            return principal_type(&ty);
-        }
-        if toks[j + 1].is_punct('=') && j + 4 < end {
-            // `let [mut] name = Type::ctor(…)` / `= Type { … }` — infer
-            // the type from the constructor path head.
-            let head = &toks[j + 2];
-            let is_type_head = head.kind == TokenKind::Ident
-                && head.text.chars().next().is_some_and(char::is_uppercase);
-            if is_type_head
-                && ((toks[j + 3].is_punct(':') && toks[j + 4].is_punct(':'))
-                    || toks[j + 3].is_punct('{'))
-            {
-                return Some(head.text.clone());
-            }
+            _ => {}
         }
         i += 1;
     }

@@ -1,4 +1,4 @@
-//! `wdm-lint` — run the workspace source lints (token tier L1–L5 and
+//! `wdm-lint` — run the workspace source lints (token tier L3–L5 and
 //! call-graph tier L6–L9) and the Liang–Shen model verifier from the
 //! command line.
 //!

@@ -1,12 +1,14 @@
 //! Engine 3, layer 3 — the call-graph rules **L6–L9**.
 //!
 //! * **L6** `panic_reach` — library functions in deny-tier crates must
-//!   not *reach* a panicking construct through any call chain. This
-//!   closes L1 over the call graph: the PR-7 wire-index panic lived one
-//!   call deep in a non-deny crate, exactly where a per-function lint
-//!   cannot see. Findings carry the witness chain down to the sink.
+//!   not contain or *reach* a panicking construct through any call
+//!   chain. A direct sink is reported where it stands; a reachable one
+//!   at the call edge leaving the deny tier, because a wire-index panic
+//!   one call deep in a non-deny crate is exactly where a per-function
+//!   lint cannot see. Edge findings carry the witness chain down to the
+//!   sink.
 //! * **L7** `alloc_reach` — `// wdm-lint: hot-path` functions must not
-//!   reach an allocating call through any call chain (closes L2).
+//!   contain or reach an allocating call through any call chain.
 //! * **L8** `lossy_cast` — narrowing `as` casts are flagged unless the
 //!   value is provably in range (mask, fitting literal, widening) or
 //!   the site carries a reasoned `// wdm-lint: cast-checked: <why>`
@@ -27,7 +29,20 @@ use crate::graph::{CallKind, FileIndex, FnDef, ItemIndex};
 use crate::lexer::{Token, TokenKind};
 
 /// Crates whose library code must be transitively panic-free (deny).
-pub const L6_DENY_CRATES: [&str; 5] = ["wdm-core", "wdm-rwa", "heaps", "wdm-serve", "wdm-campaign"];
+/// `wdm-serve` is here because a panic in a connection worker would tear
+/// down a long-lived server over one bad request; `wdm-campaign` because
+/// a panic in one worker would poison the campaign's result slots and
+/// lose the whole sweep. `wdm-lint` and `wdm-conformance` dogfood the bar
+/// they enforce.
+pub const L6_DENY_CRATES: [&str; 7] = [
+    "wdm-core",
+    "wdm-rwa",
+    "heaps",
+    "wdm-serve",
+    "wdm-campaign",
+    "wdm-lint",
+    "wdm-conformance",
+];
 /// Crates where L6 findings are warnings (CLI surface may abort).
 pub const L6_WARN_CRATES: [&str; 1] = ["wdm-cli"];
 /// Files that implement the seqlock protocol and must carry the
@@ -78,14 +93,7 @@ fn rule_l6(index: &ItemIndex, graph: &CallGraph, out: &mut Vec<Finding>) {
             continue;
         };
         let file = index.file_of(f);
-        // Direct sinks of the kinds L1 does not already cover.
         for sink in &direct[f.id] {
-            if sink.what.contains("unwrap")
-                || sink.what.contains("expect")
-                || sink.what == "`panic!`"
-            {
-                continue; // L1's findings; don't double-report.
-            }
             out.push(Finding {
                 rule: Rule::PanicReach,
                 severity,
@@ -137,9 +145,22 @@ fn rule_l7(index: &ItemIndex, graph: &CallGraph, out: &mut Vec<Finding>) {
             continue;
         }
         let file = index.file_of(f);
-        // Direct allocations in the hot body are L2's findings; L7 owns
-        // the edges into allocating callees (hot callees report their
-        // own edges, so each frontier is named exactly once).
+        for sink in &direct[f.id] {
+            out.push(Finding {
+                rule: Rule::AllocReach,
+                severity: Severity::Deny,
+                file: file.rel.clone(),
+                line: sink.line,
+                col: sink.col,
+                message: format!(
+                    "allocating call {} inside hot-path function `{}`",
+                    sink.what,
+                    f.qualified_name()
+                ),
+            });
+        }
+        // Edges into allocating callees (hot callees report their own
+        // sinks and edges, so each frontier is named exactly once).
         for &(ci, callee_id) in &graph.edges[f.id] {
             let callee = &index.fns[callee_id];
             if reach[callee_id].is_none() || callee.is_hot {
@@ -565,7 +586,7 @@ fn cas_index_tokens(toks: &[Token], cas_idx: usize) -> Option<&[Token]> {
             depth -= 1;
         }
     }
-    Some(&toks[q + 1..close])
+    toks.get(q + 1..close)
 }
 
 /// Check A — shard claims ascend.
@@ -661,13 +682,11 @@ fn check_ident_claim_provenance(
     let mut rhs: Option<&[Token]> = None;
     let mut i = start;
     while i + 2 < cas.token_idx {
-        if toks[i].is_ident("let")
-            && toks[i + 1].kind == TokenKind::Ident
-            && toks[i + 1].text == *name
-            && toks[i + 2].is_punct('=')
-        {
-            let semi = (i + 3..end).find(|&j| toks[j].is_punct(';')).unwrap_or(end);
-            rhs = Some(&toks[i + 3..semi]);
+        if let Some([kw, id, eq, rest @ ..]) = toks.get(i..end) {
+            if kw.is_ident("let") && id.is_ident(name) && eq.is_punct('=') {
+                let semi = rest.iter().position(|t| t.is_punct(';'));
+                rhs = Some(&rest[..semi.unwrap_or(rest.len())]);
+            }
         }
         i += 1;
     }
@@ -742,12 +761,10 @@ fn check_ident_claim_provenance(
 
 /// Whether `counter += 1` (tokens `counter + = 1`) occurs in the body.
 fn counter_increments(toks: &[Token], start: usize, end: usize, counter: &str) -> bool {
-    (start..end.saturating_sub(3)).any(|i| {
-        toks[i].kind == TokenKind::Ident
-            && toks[i].text == counter
-            && toks[i + 1].is_punct('+')
-            && toks[i + 2].is_punct('=')
-    })
+    toks.get(start..end.saturating_sub(1))
+        .unwrap_or_default()
+        .windows(3)
+        .any(|w| w[0].is_ident(counter) && w[1].is_punct('+') && w[2].is_punct('='))
 }
 
 /// Whether some assignment `vec = …` in the file calls a fn whose body
@@ -1030,12 +1047,15 @@ fn check_odd_test_flows(f: &FnDef, file: &FileIndex, out: &mut Vec<Finding>) {
     let mut i = start;
     while i + 4 < end {
         // `IDENT % 2 == 1`
-        let shape = toks[i].kind == TokenKind::Ident
-            && toks[i + 1].is_punct('%')
-            && toks[i + 2].kind == TokenKind::Literal
-            && toks[i + 2].text == "2"
-            && toks[i + 3].is_punct('=')
-            && toks[i + 4].is_punct('=');
+        let shape = matches!(
+            toks.get(i..i + 5),
+            Some([id, pct, two, eq1, eq2]) if id.kind == TokenKind::Ident
+                && pct.is_punct('%')
+                && two.kind == TokenKind::Literal
+                && two.text == "2"
+                && eq1.is_punct('=')
+                && eq2.is_punct('=')
+        );
         if !shape {
             i += 1;
             continue;
@@ -1079,12 +1099,14 @@ fn window_has_ident(toks: &[Token], center: usize, radius: usize, name: &str) ->
 
 /// Whether the ident at `i` sits directly beside a `==`/`!=`.
 fn adjacent_comparison(toks: &[Token], i: usize) -> bool {
-    let before = i >= 2
-        && toks[i - 1].is_punct('=')
-        && (toks[i - 2].is_punct('=') || toks[i - 2].is_punct('!'));
-    let after = i + 2 < toks.len()
-        && (toks[i + 1].is_punct('=') || toks[i + 1].is_punct('!'))
-        && toks[i + 2].is_punct('=');
+    let before = matches!(
+        i.checked_sub(2).and_then(|lo| toks.get(lo..i)),
+        Some([a, b]) if (a.is_punct('=') || a.is_punct('!')) && b.is_punct('=')
+    );
+    let after = matches!(
+        toks.get(i + 1..i + 3),
+        Some([a, b]) if (a.is_punct('=') || a.is_punct('!')) && b.is_punct('=')
+    );
     before || after
 }
 

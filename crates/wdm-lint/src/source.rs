@@ -1,10 +1,12 @@
 //! Engine 1 — token-level source lints over the workspace.
 //!
-//! The rules are repo-specific (see [`crate::findings::Rule`] L1–L5) and
+//! The rules are repo-specific (see [`crate::findings::Rule`] L3–L5) and
 //! run over the token stream produced by [`crate::lexer`], so they see
 //! comments — which is the point: the repo's invariants live in
-//! annotations (`// wdm-lint: hot-path`), audit trails (`// SAFETY:`),
-//! and justification prose that rustc has no opinion about.
+//! audit trails (`// SAFETY:`), ordering justifications and doc comments
+//! that rustc has no opinion about. Panic and allocation sinks are the
+//! call-graph tier's ([`crate::rules_v2`] L6/L7), which reports a direct
+//! sink and a reachable one alike.
 //!
 //! # Suppression syntax
 //!
@@ -20,25 +22,6 @@ use crate::lexer::{tokenize, Token, TokenKind};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
-/// Crates whose library code must be panic-free (L1, deny).
-/// `wdm-serve` joined when the control-plane daemon landed: a panic in
-/// a connection worker would tear down a long-lived server over one bad
-/// request, so every error there must be a typed reply instead.
-/// `wdm-campaign` joined with the Monte-Carlo harness: a panic in one
-/// worker would poison the campaign's result slots and lose the whole
-/// sweep, so fallible paths must carry typed errors, not `.unwrap()`.
-/// `wdm-lint` and `wdm-conformance` dogfood the bar they enforce.
-const L1_DENY_CRATES: &[&str] = &[
-    "wdm-core",
-    "wdm-rwa",
-    "heaps",
-    "wdm-serve",
-    "wdm-campaign",
-    "wdm-lint",
-    "wdm-conformance",
-];
-/// Crates where L1 reports but never fails the run.
-const L1_WARN_CRATES: &[&str] = &["wdm-cli"];
 /// Crates whose `Ordering::` uses need justification (L4). `wdm-core`
 /// joined when `EdgeMask` went atomic for the sharded concurrent
 /// engine: its words are flipped from multiple threads, so every
@@ -98,8 +81,6 @@ pub fn analyze_file(rel: &str, content: &str) -> Vec<Finding> {
     let tokens = tokenize(content);
     let ctx = FileContext::new(rel, &scope, &tokens);
     let mut findings = Vec::new();
-    ctx.rule_l1(&mut findings);
-    ctx.rule_l2(&mut findings);
     ctx.rule_l3(&mut findings);
     ctx.rule_l4(&mut findings);
     ctx.rule_l5(&mut findings);
@@ -120,9 +101,6 @@ struct FileContext<'a> {
     audited_orderings: bool,
     /// `(start_line, end_line)` of every comment token.
     comment_spans: Vec<(usize, usize)>,
-    /// Token ranges `[start, end)` of `// wdm-lint: hot-path` function
-    /// bodies, with the function name.
-    hot_regions: Vec<(usize, usize, String)>,
 }
 
 impl<'a> FileContext<'a> {
@@ -150,7 +128,6 @@ impl<'a> FileContext<'a> {
             }
         }
         let in_test = compute_test_regions(tokens);
-        let hot_regions = compute_hot_regions(tokens);
         FileContext {
             rel,
             scope,
@@ -159,7 +136,6 @@ impl<'a> FileContext<'a> {
             suppressed,
             audited_orderings,
             comment_spans,
-            hot_regions,
         }
     }
 
@@ -191,131 +167,6 @@ impl<'a> FileContext<'a> {
             .skip(i + 1)
             .find(|(_, t)| !t.is_comment())
             .map(|(j, _)| j)
-    }
-
-    /// Index of the previous non-comment token before `i`.
-    fn prev_code(&self, i: usize) -> Option<usize> {
-        self.tokens[..i].iter().rposition(|t| !t.is_comment())
-    }
-
-    /// True when the code tokens starting at `i` (comments skipped) spell
-    /// out `pattern`, matching idents by text and puncts by text.
-    fn code_seq_matches(&self, mut i: usize, pattern: &[&str]) -> bool {
-        for (step, want) in pattern.iter().enumerate() {
-            if step > 0 {
-                match self.next_code(i) {
-                    Some(j) => i = j,
-                    None => return false,
-                }
-            }
-            if self.tokens[i].text != *want {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// L1 — no `unwrap`/`expect`/`panic!` in non-test library code.
-    fn rule_l1(&self, out: &mut Vec<Finding>) {
-        let crate_name = self.scope.crate_name.as_str();
-        let severity = if L1_DENY_CRATES.contains(&crate_name) {
-            Severity::Deny
-        } else if L1_WARN_CRATES.contains(&crate_name) {
-            Severity::Warning
-        } else {
-            return;
-        };
-        if !self.scope.in_src {
-            return;
-        }
-        for (i, t) in self.tokens.iter().enumerate() {
-            if t.kind != TokenKind::Ident || self.in_test[i] {
-                continue;
-            }
-            if (t.text == "unwrap" || t.text == "expect")
-                && self
-                    .prev_code(i)
-                    .is_some_and(|p| self.tokens[p].is_punct('.'))
-                && self
-                    .next_code(i)
-                    .is_some_and(|n| self.tokens[n].is_punct('('))
-            {
-                self.emit(
-                    out,
-                    Rule::NoUnwrap,
-                    severity,
-                    t,
-                    format!(
-                        "`.{}()` in non-test `{}` code; return a typed error \
-                         (`wdm_core::error`) or assert the invariant explicitly",
-                        t.text, crate_name
-                    ),
-                );
-            }
-            if t.text == "panic"
-                && self
-                    .next_code(i)
-                    .is_some_and(|n| self.tokens[n].is_punct('!'))
-            {
-                self.emit(
-                    out,
-                    Rule::NoUnwrap,
-                    severity,
-                    t,
-                    format!(
-                        "`panic!` in non-test `{crate_name}` code; return a typed error \
-                         or use `assert!`/`unreachable!` with the invariant spelled out"
-                    ),
-                );
-            }
-        }
-    }
-
-    /// L2 — no allocating calls inside `// wdm-lint: hot-path` functions.
-    ///
-    /// The check is intraprocedural: it covers the annotated function's
-    /// own body, not its callees.
-    fn rule_l2(&self, out: &mut Vec<Finding>) {
-        for &(start, end, ref fn_name) in &self.hot_regions {
-            for i in start..end.min(self.tokens.len()) {
-                let t = &self.tokens[i];
-                if t.kind != TokenKind::Ident {
-                    continue;
-                }
-                let prev_dot = self
-                    .prev_code(i)
-                    .is_some_and(|p| self.tokens[p].is_punct('.'));
-                let next_paren = self
-                    .next_code(i)
-                    .is_some_and(|n| self.tokens[n].is_punct('('));
-                let next_bang = self
-                    .next_code(i)
-                    .is_some_and(|n| self.tokens[n].is_punct('!'));
-                let hit = match t.text.as_str() {
-                    "Vec" | "Box" => self.code_seq_matches(i, &[&t.text, ":", ":", "new"]),
-                    "to_vec" | "clone" => prev_dot && next_paren,
-                    "collect" => prev_dot,
-                    "format" | "vec" => next_bang,
-                    _ => false,
-                };
-                if hit {
-                    let shown = match t.text.as_str() {
-                        "Vec" => "Vec::new".to_string(),
-                        "Box" => "Box::new".to_string(),
-                        "format" => "format!".to_string(),
-                        "vec" => "vec!".to_string(),
-                        other => format!(".{other}()"),
-                    };
-                    self.emit(
-                        out,
-                        Rule::HotPathAlloc,
-                        Severity::Deny,
-                        t,
-                        format!("allocating call `{shown}` inside hot-path function `{fn_name}`"),
-                    );
-                }
-            }
-        }
     }
 
     /// L3 — `unsafe` must be immediately preceded by a `// SAFETY:`
@@ -384,10 +235,10 @@ impl<'a> FileContext<'a> {
                             _ => {}
                         }
                     }
-                    if i > 0 && self.tokens[i - 1].is_punct('!') {
+                    if self.tokens[..i].last().is_some_and(|t| t.is_punct('!')) {
                         i -= 1;
                     }
-                    if i > 0 && self.tokens[i - 1].is_punct('#') {
+                    if self.tokens[..i].last().is_some_and(|t| t.is_punct('#')) {
                         i -= 1;
                         continue;
                     }
@@ -553,9 +404,10 @@ impl<'a> FileContext<'a> {
                 if saw_doc_attr {
                     return true;
                 }
-                if i > 0 && (self.tokens[i - 1].is_punct('#') || self.tokens[i - 1].is_punct('!')) {
+                let before = |i: usize| self.tokens[..i].last();
+                if before(i).is_some_and(|t| t.is_punct('#') || t.is_punct('!')) {
                     i -= 1;
-                    if i > 0 && self.tokens[i - 1].is_punct('#') {
+                    if before(i).is_some_and(|t| t.is_punct('#')) {
                         i -= 1;
                     }
                     continue;
@@ -570,8 +422,7 @@ impl<'a> FileContext<'a> {
 /// Parses `wdm-lint: allow(a, wdm_lint::b)` out of a comment, returning
 /// the named rules (unknown names are ignored).
 fn parse_allow(comment: &str) -> Option<Vec<Rule>> {
-    let at = comment.find("wdm-lint: allow(")?;
-    let inner = &comment[at + "wdm-lint: allow(".len()..];
+    let (_, inner) = comment.split_once("wdm-lint: allow(")?;
     let close = inner.find(')')?;
     let rules = inner[..close]
         .split(',')
@@ -682,58 +533,6 @@ fn item_end_after(tokens: &[Token], mut i: usize) -> Option<usize> {
     None
 }
 
-/// Finds `// wdm-lint: hot-path` annotations and the `[start, end)` token
-/// range of the following function's body.
-fn compute_hot_regions(tokens: &[Token]) -> Vec<(usize, usize, String)> {
-    let mut regions = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        // Only a plain `// wdm-lint: hot-path` comment annotates — doc
-        // comments that merely *mention* the marker don't.
-        let is_marker = t.kind == TokenKind::LineComment
-            && !t.is_doc_comment()
-            && t.text
-                .trim_start_matches('/')
-                .trim_start()
-                .starts_with("wdm-lint: hot-path");
-        if !is_marker {
-            continue;
-        }
-        // Next `fn` token, then its name and body braces.
-        let Some(fn_idx) = tokens
-            .iter()
-            .enumerate()
-            .skip(i + 1)
-            .find(|(_, t)| t.is_ident("fn"))
-            .map(|(j, _)| j)
-        else {
-            continue;
-        };
-        let name = tokens
-            .get(fn_idx + 1)
-            .map(|t| t.text.clone())
-            .unwrap_or_default();
-        let mut j = fn_idx;
-        while j < tokens.len() && !tokens[j].is_punct('{') {
-            j += 1;
-        }
-        let start = j;
-        let mut depth = 0usize;
-        while j < tokens.len() {
-            if tokens[j].is_punct('{') {
-                depth += 1;
-            } else if tokens[j].is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            j += 1;
-        }
-        regions.push((start, j + 1, name));
-    }
-    regions
-}
-
 /// Recursively collects the workspace's `.rs` files under `root/crates`,
 /// skipping `target/` and `fixtures/` trees, sorted for determinism.
 pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
@@ -800,70 +599,23 @@ mod tests {
     }
 
     #[test]
-    fn l1_flags_unwrap_expect_panic() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
-                   fn g(x: Option<u8>) -> u8 { x.expect(\"msg\") }\n\
-                   fn h() { panic!(\"boom\"); }\n";
-        let found = lint(CORE, src);
-        assert_eq!(found.len(), 3);
-        assert!(found.iter().all(|f| f.rule == Rule::NoUnwrap));
-    }
-
-    #[test]
-    fn l1_ignores_unwrap_or_and_tests_and_strings() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }\n\
-                   fn g() { let _ = \"don't .unwrap() me\"; }\n\
-                   #[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { Some(1).unwrap(); }\n}\n";
-        assert!(lint(CORE, src).is_empty());
-    }
-
-    #[test]
     fn l1_warns_not_denies_in_cli() {
+        // Panic sinks are L6's now: this tier stays silent on them, and
+        // the call-graph tier keeps the wdm-cli warning tier.
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        let found = lint("crates/wdm-cli/src/lib.rs", src);
+        let graph = |rel: &str| {
+            crate::rules_v2::scan_graph_rules(&crate::graph::ItemIndex::build(&[(
+                rel.to_string(),
+                src.to_string(),
+            )]))
+        };
+        assert!(lint("crates/wdm-cli/src/lib.rs", src).is_empty());
+        let found = graph("crates/wdm-cli/src/lib.rs");
         assert_eq!(found.len(), 1);
+        assert_eq!(found[0].rule, Rule::PanicReach);
         assert_eq!(found[0].severity, Severity::Warning);
         // And not at all outside the configured crates.
-        assert!(lint("crates/wdm-bench/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn l1_suppression_comment() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n\
-                   // wdm-lint: allow(no_unwrap) — checked by caller\n\
-                   x.unwrap()\n}\n";
-        assert!(lint(CORE, src).is_empty());
-        let attr_style = "fn f(x: Option<u8>) -> u8 {\n\
-                   // wdm-lint: allow(wdm_lint::no_unwrap)\n\
-                   x.unwrap()\n}\n";
-        assert!(lint(CORE, attr_style).is_empty());
-    }
-
-    #[test]
-    fn l2_flags_allocations_only_in_hot_fns() {
-        let src = "\
-// wdm-lint: hot-path
-fn hot(&mut self) {
-    let v = Vec::new();
-    let b = Box::new(1);
-    let c = self.buf.clone();
-    let t = self.buf.to_vec();
-    let s = format!(\"x\");
-    let l = vec![1];
-    let k: Vec<u8> = it.collect();
-}
-
-fn cold(&mut self) {
-    let v: Vec<u8> = Vec::new();
-}
-";
-        let found = lint(CORE, src);
-        let l2: Vec<&Finding> = found
-            .iter()
-            .filter(|f| f.rule == Rule::HotPathAlloc)
-            .collect();
-        assert_eq!(l2.len(), 7, "{l2:?}");
-        assert!(l2.iter().all(|f| f.message.contains("`hot`")));
+        assert!(graph("crates/wdm-bench/src/lib.rs").is_empty());
     }
 
     #[test]
@@ -938,15 +690,17 @@ fn cold(&mut self) {
 
     #[test]
     fn findings_carry_exact_spans() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n";
+        let src = "/// S.\npub struct S {\n    pub x: u8,\n}\n";
         let found = lint(CORE, src);
         assert_eq!(found.len(), 1);
-        assert_eq!((found[0].line, found[0].col), (2, 7));
+        assert_eq!((found[0].line, found[0].col), (3, 5));
     }
 
     #[test]
     fn cfg_not_test_is_not_test_code() {
-        let src = "#[cfg(not(test))]\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
+        let src = "#[cfg(not(test))]\npub fn f() {}\n";
         assert_eq!(lint(CORE, src).len(), 1);
+        let test_only = "#[cfg(test)]\npub fn f() {}\n";
+        assert!(lint(CORE, test_only).is_empty());
     }
 }

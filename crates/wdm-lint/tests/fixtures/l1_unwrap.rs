@@ -1,4 +1,4 @@
-//! L1 fixture: banned panics in library code.
+//! L6 fixture: direct panics in library code.
 
 /// Returns the first element of `v`.
 pub fn first(v: &[u32]) -> u32 {

@@ -1,4 +1,4 @@
-//! L2 fixture: allocation inside a hot-path annotated function.
+//! L7 fixture: allocation inside a hot-path annotated function.
 
 /// Sums a copy of `v`.
 // wdm-lint: hot-path

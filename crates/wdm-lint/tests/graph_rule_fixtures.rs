@@ -52,8 +52,8 @@ pub fn l6_entry(x: u32) -> u32 {
 }
 ";
 
-/// Mutation pair: wrapping a `panic!` one helper deep — in a crate L1/L6
-/// do not scope — must surface as an L6 frontier edge at the call site
+/// Mutation pair: wrapping a `panic!` one helper deep — in a crate L6
+/// does not scope — must surface as an L6 frontier edge at the call site
 /// in the deny-tier caller.
 #[test]
 fn l6_panic_one_helper_deep_fires_at_call_edge() {
@@ -124,6 +124,59 @@ pub fn l6_entry(x: u32) -> u32 {
     assert_eq!(spans_of(&findings, Rule::PanicReach), Vec::new());
 }
 
+#[test]
+fn l6_flags_direct_unwrap_expect_panic() {
+    let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
+               fn g(x: Option<u8>) -> u8 { x.expect(\"msg\") }\n\
+               fn h() { panic!(\"boom\"); }\n";
+    let findings = scan(&[("crates/wdm-core/src/x.rs", src)]);
+    assert_eq!(
+        spans_of(&findings, Rule::PanicReach),
+        vec![
+            (
+                "crates/wdm-core/src/x.rs".to_string(),
+                1,
+                31,
+                Severity::Deny
+            ),
+            (
+                "crates/wdm-core/src/x.rs".to_string(),
+                2,
+                31,
+                Severity::Deny
+            ),
+            (
+                "crates/wdm-core/src/x.rs".to_string(),
+                3,
+                10,
+                Severity::Deny
+            ),
+        ]
+    );
+    // Outside the deny and warn tiers nothing is reported.
+    assert!(scan(&[("crates/wdm-bench/src/x.rs", src)]).is_empty());
+}
+
+#[test]
+fn l6_ignores_unwrap_or_tests_and_strings() {
+    let src = "fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }\n\
+               fn g() { let _ = \"don't .unwrap() me\"; }\n\
+               #[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { Some(1).unwrap(); }\n}\n";
+    assert_eq!(scan(&[("crates/wdm-core/src/x.rs", src)]), Vec::new());
+}
+
+#[test]
+fn l6_suppression_comment_accepts_both_spellings() {
+    for allow in ["panic_reach", "wdm_lint::panic_reach"] {
+        let src = format!(
+            "fn f(x: Option<u8>) -> u8 {{\n\
+             // wdm-lint: allow({allow}) — checked by caller\n\
+             x.unwrap()\n}}\n"
+        );
+        assert_eq!(scan(&[("crates/wdm-core/src/x.rs", &src)]), Vec::new());
+    }
+}
+
 // ---------------------------------------------------------------------------
 // L7 — transitive allocation reachability from hot paths.
 
@@ -154,7 +207,7 @@ pub fn hot_entry() -> Vec<u32> {
 ";
 
 /// Mutation pair: inserting a `Vec::new` into a hot-path *callee* —
-/// where L2's per-function scan cannot see it — must fire L7 on the
+/// where a per-function scan cannot see it — must fire L7 on the
 /// edge from the hot function.
 #[test]
 fn l7_alloc_in_hot_callee_fires_at_call_edge() {
@@ -181,6 +234,33 @@ fn l7_alloc_in_hot_callee_fires_at_call_edge() {
 fn l7_preallocating_callee_produces_no_findings() {
     let findings = scan(&[("crates/wdm-core/src/l7_hot.rs", L7_CALLEE_CLEAN)]);
     assert_eq!(findings, Vec::new());
+}
+
+#[test]
+fn l7_flags_direct_allocations_only_in_hot_fns() {
+    let src = "\
+// wdm-lint: hot-path
+fn hot(&mut self) {
+    let v = Vec::new();
+    let b = Box::new(1);
+    let c = self.buf.clone();
+    let t = self.buf.to_vec();
+    let s = format!(\"x\");
+    let l = vec![1];
+    let k: Vec<u8> = it.collect();
+}
+
+fn cold(&mut self) {
+    let v: Vec<u8> = Vec::new();
+}
+";
+    let findings = scan(&[("crates/wdm-core/src/x.rs", src)]);
+    let l7: Vec<&Finding> = findings
+        .iter()
+        .filter(|f| f.rule == Rule::AllocReach)
+        .collect();
+    assert_eq!(l7.len(), 7, "{l7:?}");
+    assert!(l7.iter().all(|f| f.message.contains("`hot`")));
 }
 
 // ---------------------------------------------------------------------------

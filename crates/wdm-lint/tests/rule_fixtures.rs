@@ -1,12 +1,14 @@
-//! Per-rule fixture tests for the source engine.
+//! Per-rule fixture tests for the source linter.
 //!
 //! Each fixture under `tests/fixtures/` intentionally violates exactly
 //! one rule; the assertions pin the rule, severity, and the exact
-//! `line:col` span of every finding. The `fixtures/` directory is
-//! excluded from workspace scans by `collect_rs_files`, so these files
-//! never fail the real `--deny all` gate.
+//! `line:col` span of every finding. The `l1_`/`l2_` fixtures hold
+//! direct panic and allocation sinks, which the call-graph rules L6 and
+//! L7 report where they stand. The `fixtures/`
+//! directory is excluded from workspace scans by `collect_rs_files`, so
+//! these files never fail the real `--deny all` gate.
 
-use wdm_lint::{analyze_file, Finding, Rule, Severity};
+use wdm_lint::{analyze_file, scan_graph_rules, Finding, ItemIndex, Rule, Severity};
 
 /// (rule, severity, line, col) of each finding, in emission order.
 fn spans(findings: &[Finding]) -> Vec<(Rule, Severity, usize, usize)> {
@@ -16,15 +18,20 @@ fn spans(findings: &[Finding]) -> Vec<(Rule, Severity, usize, usize)> {
         .collect()
 }
 
+/// Runs the call-graph rules L6–L9 over one file.
+fn scan_graph(rel: &str, src: &str) -> Vec<Finding> {
+    scan_graph_rules(&ItemIndex::build(&[(rel.to_string(), src.to_string())]))
+}
+
 #[test]
 fn l1_fixture_flags_unwrap_and_panic_with_exact_spans() {
     let src = include_str!("fixtures/l1_unwrap.rs");
-    let findings = analyze_file("crates/wdm-core/src/l1_fixture.rs", src);
+    let findings = scan_graph("crates/wdm-core/src/l1_fixture.rs", src);
     assert_eq!(
         spans(&findings),
         vec![
-            (Rule::NoUnwrap, Severity::Deny, 5, 16),
-            (Rule::NoUnwrap, Severity::Deny, 10, 5),
+            (Rule::PanicReach, Severity::Deny, 5, 16),
+            (Rule::PanicReach, Severity::Deny, 10, 5),
         ],
         "{findings:?}"
     );
@@ -35,28 +42,30 @@ fn l1_fixture_flags_unwrap_and_panic_with_exact_spans() {
 #[test]
 fn l1_is_warning_in_cli_and_silent_outside_scoped_crates() {
     let src = include_str!("fixtures/l1_unwrap.rs");
-    let cli = analyze_file("crates/wdm-cli/src/l1_fixture.rs", src);
+    let cli = scan_graph("crates/wdm-cli/src/l1_fixture.rs", src);
     assert_eq!(
         spans(&cli),
         vec![
-            (Rule::NoUnwrap, Severity::Warning, 5, 16),
-            (Rule::NoUnwrap, Severity::Warning, 10, 5),
+            (Rule::PanicReach, Severity::Warning, 5, 16),
+            (Rule::PanicReach, Severity::Warning, 10, 5),
         ]
     );
-    // wdm-obs is not in L1 scope at all.
-    let obs = analyze_file("crates/wdm-obs/src/l1_fixture.rs", src);
-    assert!(obs.iter().all(|f| f.rule != Rule::NoUnwrap), "{obs:?}");
+    // wdm-obs is not in L6 scope at all, and neither is test code.
+    let obs = scan_graph("crates/wdm-obs/src/l1_fixture.rs", src);
+    assert!(obs.is_empty(), "{obs:?}");
+    let tests = scan_graph("crates/wdm-core/tests/l1_fixture.rs", src);
+    assert!(tests.is_empty(), "{tests:?}");
 }
 
 #[test]
 fn l2_fixture_flags_allocations_in_hot_path_with_exact_spans() {
     let src = include_str!("fixtures/l2_hot_alloc.rs");
-    let findings = analyze_file("crates/wdm-core/src/l2_fixture.rs", src);
+    let findings = scan_graph("crates/wdm-core/src/l2_fixture.rs", src);
     assert_eq!(
         spans(&findings),
         vec![
-            (Rule::HotPathAlloc, Severity::Deny, 6, 18),
-            (Rule::HotPathAlloc, Severity::Deny, 7, 17),
+            (Rule::AllocReach, Severity::Deny, 6, 18),
+            (Rule::AllocReach, Severity::Deny, 7, 17),
         ],
         "{findings:?}"
     );
@@ -119,17 +128,17 @@ fn l5_fixture_flags_undocumented_public_items_with_exact_spans() {
 fn allow_comment_suppresses_the_named_rule() {
     let src = "/// Docs.\n\
                pub fn f(v: &[u32]) -> u32 {\n\
-               \x20   // wdm-lint: allow(no_unwrap)\n\
+               \x20   // wdm-lint: allow(panic_reach)\n\
                \x20   *v.first().unwrap()\n\
                }\n";
-    assert!(analyze_file("crates/wdm-core/src/allowed.rs", src).is_empty());
-    // The suppression names only L1; a different rule still fires.
-    let findings = analyze_file(
+    assert!(scan_graph("crates/wdm-core/src/allowed.rs", src).is_empty());
+    // The suppression names only L6; a different rule still fires.
+    let findings = scan_graph(
         "crates/wdm-core/src/allowed.rs",
-        &src.replace("no_unwrap", "missing_docs"),
+        &src.replace("panic_reach", "missing_docs"),
     );
     assert_eq!(
         spans(&findings),
-        vec![(Rule::NoUnwrap, Severity::Deny, 4, 16)]
+        vec![(Rule::PanicReach, Severity::Deny, 4, 16)]
     );
 }

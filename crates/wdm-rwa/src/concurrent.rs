@@ -115,17 +115,22 @@ fn gauge_len(n: usize) -> i64 {
     i64::try_from(n).unwrap_or(i64::MAX)
 }
 
-/// Debug builds run the `wdm-lint` model verifier over every network an
-/// engine routes on: Theorem 1 node/edge counts, gadget shape, tap
-/// costs, mask cross-index, and the Restriction 1/2 gates are checked
-/// against independent recomputation, and any finding aborts.
+/// Debug builds run the Theorem-1 construction verifier
+/// ([`wdm_core::verify`]) over every network an engine routes on: node
+/// and edge counts, gadget shape, tap costs, mask cross-index, and the
+/// Restriction 1/2 gates are checked against independent recomputation,
+/// and any violation aborts.
 #[cfg(debug_assertions)]
 fn verify_network(net: &WdmNetwork, label: &str) {
-    let findings = wdm_lint::verify_network(net, label);
+    let violations = wdm_core::verify::verify_network(net);
     debug_assert!(
-        findings.is_empty(),
-        "auxiliary-graph construction failed static verification:\n{}",
-        wdm_lint::render_text(&findings, std::path::Path::new("."))
+        violations.is_empty(),
+        "auxiliary-graph construction of {label} failed verification:\n{}",
+        violations
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
     );
 }
 
@@ -307,17 +312,11 @@ impl Shared {
             Some((e, hit)) if e == epoch => hit,
             _ => {
                 let failed = lock(&self.failed).clone();
-                let probed = match (converts, failed.is_empty()) {
-                    (true, true) => self.state.reachable_when_free(scratch, s, t),
-                    (true, false) => self
-                        .state
-                        .reachable_when_free_excluding(scratch, s, t, &failed),
-                    (false, true) => self
-                        .state
-                        .reachable_when_free_single_wavelength(scratch, s, t),
-                    (false, false) => self
-                        .state
-                        .reachable_when_free_single_wavelength_excluding(scratch, s, t, &failed),
+                let probed = if converts {
+                    self.state.reachable_when_free(scratch, s, t, &failed)
+                } else {
+                    self.state
+                        .reachable_when_free_single_wavelength(scratch, s, t, &failed)
                 };
                 // Probe work is classification, not request routing.
                 let _ = scratch.take_search_totals();

@@ -23,8 +23,9 @@
 //!   first-fit wavelength assignment baseline;
 //! * [`workload`] — static and Poisson arrival/holding workload
 //!   generators;
-//! * [`simulate`] — an event-driven arrival/departure loop producing
-//!   [`BlockingStats`].
+//! * [`simulate`] / [`simulate_on`] — the event-driven arrival/departure
+//!   loop producing [`BlockingStats`], on a fresh or a caller-prepared
+//!   engine.
 //!
 //! # Observability
 //!
@@ -84,4 +85,4 @@ pub use engine::{ConnectionId, ProvisioningEngine, RoutingMode, RwaError};
 pub use metrics::BlockCause;
 pub use policy::Policy;
 pub use spec::SpecEngine;
-pub use stats::{simulate, BlockingStats};
+pub use stats::{simulate, simulate_on, BlockingStats};

@@ -77,7 +77,7 @@ impl Eq for Departure {}
 impl Ord for Departure {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         let Some(by_time) = self.at.partial_cmp(&other.at) else {
-            unreachable!("departure times are finite (arrival + finite holding)")
+            unreachable!("departure times are arrival + holding, never NaN")
         };
         by_time.then(self.id.cmp(&other.id))
     }
@@ -89,11 +89,8 @@ impl PartialOrd for Departure {
     }
 }
 
-/// Replays a workload against a fresh engine over `base` with `policy`.
-///
-/// Requests must be sorted by arrival time (as the [`crate::workload`]
-/// generators produce them); departures are processed before arrivals at
-/// the same instant.
+/// Replays a workload against a fresh engine over `base` with `policy`;
+/// see [`simulate_on`].
 ///
 /// # Panics
 ///
@@ -117,10 +114,38 @@ impl PartialOrd for Departure {
 /// assert_eq!(stats.accepted + stats.blocked, 200);
 /// ```
 pub fn simulate(base: &WdmNetwork, requests: &[Request], policy: Policy) -> BlockingStats {
-    let mut engine = ProvisioningEngine::new(base);
+    simulate_on(&mut ProvisioningEngine::new(base), requests, policy)
+}
+
+/// Replays a workload against a caller-prepared engine with `policy`:
+/// the arrival/departure event loop behind [`simulate`] and the
+/// campaign replicas.
+///
+/// Requests must be sorted by arrival time (as the [`crate::workload`]
+/// generators produce them); departures are processed in (time, id)
+/// order before an arrival at the same instant. The blocked-cause split
+/// is read as a delta of the engine's counters, so an engine with
+/// history is fine; connections this replay still holds at the end are
+/// released, so the engine ends as it started when it started with no
+/// active connections.
+///
+/// # Panics
+///
+/// Panics if the request list is not sorted by arrival.
+pub fn simulate_on(
+    engine: &mut ProvisioningEngine,
+    requests: &[Request],
+    policy: Policy,
+) -> BlockingStats {
     let mut stats = BlockingStats::default();
+    let (no_path0, capacity0) = engine.blocked_by_cause();
     let mut departures: BinaryHeap<Reverse<Departure>> = BinaryHeap::new();
     let mut last_arrival = f64::NEG_INFINITY;
+    let release = |engine: &mut ProvisioningEngine, id| {
+        if engine.release(id).is_err() {
+            unreachable!("departing connections are still active");
+        }
+    };
 
     for req in requests {
         assert!(
@@ -134,9 +159,7 @@ pub fn simulate(base: &WdmNetwork, requests: &[Request], policy: Policy) -> Bloc
                 let Some(Reverse(dep)) = departures.pop() else {
                     unreachable!("peek returned an entry")
                 };
-                if engine.release(dep.id).is_err() {
-                    unreachable!("departing connections are still active");
-                }
+                release(engine, dep.id);
             } else {
                 break;
             }
@@ -150,12 +173,11 @@ pub fn simulate(base: &WdmNetwork, requests: &[Request], policy: Policy) -> Bloc
                 };
                 stats.conversions += path.conversion_count() as u64;
                 stats.links_used += path.len() as u64;
-                if req.holding.is_finite() {
-                    departures.push(Reverse(Departure {
-                        at: req.arrival + req.holding,
-                        id,
-                    }));
-                }
+                // An infinite holding time departs after every arrival.
+                departures.push(Reverse(Departure {
+                    at: req.arrival + req.holding,
+                    id,
+                }));
                 stats.peak_active = stats.peak_active.max(engine.active_count());
             }
             Err(_) => {
@@ -163,11 +185,12 @@ pub fn simulate(base: &WdmNetwork, requests: &[Request], policy: Policy) -> Bloc
             }
         }
     }
-    // The engine is fresh and saw exactly this workload, so its cause
-    // split is the workload's cause split.
+    while let Some(Reverse(dep)) = departures.pop() {
+        release(engine, dep.id);
+    }
     let (no_path, capacity) = engine.blocked_by_cause();
-    stats.blocked_no_path = no_path;
-    stats.blocked_capacity = capacity;
+    stats.blocked_no_path = no_path - no_path0;
+    stats.blocked_capacity = capacity - capacity0;
     stats
 }
 

@@ -70,14 +70,9 @@ pub struct Frame {
     pub trace_id: Option<u64>,
 }
 
-/// Parses one request line. The error string is a human-readable
-/// diagnostic suitable for the `detail` field of a `malformed` reply.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    parse_frame(line).map(|f| f.req)
-}
-
 /// Parses one request line into a [`Frame`], including the optional
-/// `trace_id` tag.
+/// `trace_id` tag. The error string is a human-readable diagnostic
+/// suitable for the `detail` field of a `malformed` reply.
 pub fn parse_frame(line: &str) -> Result<Frame, String> {
     let value = json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
     let trace_id = match value.get("trace_id") {
@@ -197,10 +192,15 @@ pub fn escape_json(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// The request of a parsed frame.
+    fn request(line: &str) -> Result<Request, String> {
+        parse_frame(line).map(|f| f.req)
+    }
+
     #[test]
     fn parses_every_op() {
         assert_eq!(
-            parse_request(r#"{"op":"provision","s":0,"t":3}"#),
+            request(r#"{"op":"provision","s":0,"t":3}"#),
             Ok(Request::Provision {
                 s: 0,
                 t: 3,
@@ -208,7 +208,7 @@ mod tests {
             })
         );
         assert_eq!(
-            parse_request(r#"{"op":"provision","s":1,"t":2,"policy":"first-fit"}"#),
+            request(r#"{"op":"provision","s":1,"t":2,"policy":"first-fit"}"#),
             Ok(Request::Provision {
                 s: 1,
                 t: 2,
@@ -216,27 +216,27 @@ mod tests {
             })
         );
         assert_eq!(
-            parse_request(r#"{"op":"release","id":7}"#),
+            request(r#"{"op":"release","id":7}"#),
             Ok(Request::Release { id: 7 })
         );
         assert_eq!(
-            parse_request(r#"{"op":"fail-link","link":2}"#),
+            request(r#"{"op":"fail-link","link":2}"#),
             Ok(Request::FailLink { link: 2 })
         );
         assert_eq!(
-            parse_request(r#"{"op":"restore-link","link":2}"#),
+            request(r#"{"op":"restore-link","link":2}"#),
             Ok(Request::RestoreLink { link: 2 })
         );
         assert_eq!(
-            parse_request(r#"{"op":"batch","pairs":[[0,3],[1,2]]}"#),
+            request(r#"{"op":"batch","pairs":[[0,3],[1,2]]}"#),
             Ok(Request::Batch {
                 pairs: vec![(0, 3), (1, 2)],
                 policy: None
             })
         );
-        assert_eq!(parse_request(r#"{"op":"stats"}"#), Ok(Request::Stats));
-        assert_eq!(parse_request(r#"{"op":"trace"}"#), Ok(Request::Trace));
-        assert_eq!(parse_request(r#"{"op":"drain"}"#), Ok(Request::Drain));
+        assert_eq!(request(r#"{"op":"stats"}"#), Ok(Request::Stats));
+        assert_eq!(request(r#"{"op":"trace"}"#), Ok(Request::Trace));
+        assert_eq!(request(r#"{"op":"drain"}"#), Ok(Request::Drain));
     }
 
     #[test]
@@ -283,14 +283,14 @@ mod tests {
             r#"{"op":"teleport"}"#,
             r#"{"op":7}"#,
         ] {
-            assert!(parse_request(bad).is_err(), "{bad} should be malformed");
+            assert!(request(bad).is_err(), "{bad} should be malformed");
         }
     }
 
     #[test]
     fn ignores_unknown_keys() {
         assert_eq!(
-            parse_request(r#"{"op":"stats","tag":"client-42"}"#),
+            request(r#"{"op":"stats","tag":"client-42"}"#),
             Ok(Request::Stats)
         );
     }
