@@ -147,16 +147,19 @@ fn main() {
 ///   identical masked search (the bit-identity reference of the
 ///   conformance suite);
 /// * `masked` — the hot path: one persistent auxiliary graph, busy bits
-///   flipped in place, one masked Dijkstra per request.
+///   flipped in place, one masked goal-directed search per request; its
+///   settled and relaxed counts per request come from the engine's
+///   search counters over one more churn cycle.
 ///
 /// Returns record lines for `BENCH_provisioning.json` (written by
 /// `main` together with E14's).
 fn e13(quick: bool) -> Vec<String> {
     use wdm_core::Semilightpath;
+    use wdm_obs::MetricsRegistry;
     use wdm_rwa::{Policy, ProvisioningEngine, SpecEngine};
     println!("\n## E13 — provisioning hot path: masked vs rebuild-per-request\n");
-    println!("| n | k | legacy µs/req | rebuild µs/req | masked µs/req | speedup vs legacy | legacy allocs/req | masked allocs/req | alloc ratio |");
-    println!("|---|---|---|---|---|---|---|---|---|");
+    println!("| n | k | legacy µs/req | rebuild µs/req | masked µs/req | speedup vs legacy | legacy allocs/req | masked allocs/req | alloc ratio | settled/req | relaxed/req |");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|");
     let sizes: &[(usize, usize)] = if quick {
         &[(32, 4), (64, 8)]
     } else {
@@ -235,11 +238,18 @@ fn e13(quick: bool) -> Vec<String> {
         let before = alloc_counter::count();
         churn(&mut engine);
         allocs_of[2] = (alloc_counter::count() - before) as f64 / requests as f64;
+        let registry = MetricsRegistry::new();
+        engine.attach_metrics(&registry);
+        churn(&mut engine);
+        let search_per_req =
+            |name: &str| registry.counter(name, &[]).get() as f64 / requests as f64;
+        let settled = search_per_req("wdm_core_search_settled_total");
+        let relaxed = search_per_req("wdm_core_search_relaxed_total");
         let per_req = |s: f64| s * 1e6 / requests as f64;
         let speedup = secs_of[0] / secs_of[2].max(f64::MIN_POSITIVE);
         let alloc_ratio = allocs_of[0] / allocs_of[2].max(f64::MIN_POSITIVE);
         println!(
-            "| {n} | {k} | {:.1} | {:.1} | {:.1} | {speedup:.1}x | {:.1} | {:.1} | {alloc_ratio:.1}x |",
+            "| {n} | {k} | {:.1} | {:.1} | {:.1} | {speedup:.1}x | {:.1} | {:.1} | {alloc_ratio:.1}x | {settled:.1} | {relaxed:.1} |",
             per_req(secs_of[0]),
             per_req(secs_of[1]),
             per_req(secs_of[2]),
@@ -252,7 +262,8 @@ fn e13(quick: bool) -> Vec<String> {
              \"rebuild_secs_per_req\": {:.9}, \"masked_secs_per_req\": {:.9}, \
              \"speedup_vs_legacy\": {speedup:.4}, \"speedup_vs_rebuild\": {:.4}, \
              \"legacy_allocs_per_req\": {:.2}, \"rebuild_allocs_per_req\": {:.2}, \
-             \"masked_allocs_per_req\": {:.2}, \"alloc_ratio\": {alloc_ratio:.4}}}",
+             \"masked_allocs_per_req\": {:.2}, \"alloc_ratio\": {alloc_ratio:.4}, \
+             \"masked_settled_per_req\": {settled:.2}, \"masked_relaxed_per_req\": {relaxed:.2}}}",
             secs_of[0] / requests as f64,
             secs_of[1] / requests as f64,
             secs_of[2] / requests as f64,

@@ -69,6 +69,18 @@ pub enum AuxNodeKind {
     },
 }
 
+impl AuxNodeKind {
+    /// The physical node this auxiliary node belongs to.
+    pub fn node(self) -> NodeId {
+        match self {
+            AuxNodeKind::In { node, .. }
+            | AuxNodeKind::Out { node, .. }
+            | AuxNodeKind::Source { node }
+            | AuxNodeKind::Sink { node } => node,
+        }
+    }
+}
+
 /// Size accounting for the construction, mirroring Observations 1–5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AuxStats {

@@ -6,6 +6,14 @@
 //! (`O(n'² + m')`). Both are the same relaxation loop over a different
 //! [`IndexedPriorityQueue`], so this module implements it once, generically,
 //! and dispatches on [`HeapKind`] for run-time selection.
+//!
+//! The same loop also runs goal-directed (A\*, Hart, Nilsson & Raphael
+//! 1968) when handed a `Potential`: queue keys become `g + h`, while
+//! [`DijkstraWorkspace::dist`] keeps holding `g`. With a consistent `h`
+//! (`h(u) ≤ c(u, v) + h(v)` on every edge) the keys pop in
+//! non-decreasing order, so every queue — the monotone radix heap
+//! included — stays valid, and a truncated run's target distance and
+//! path are exact.
 
 use crate::csr::{CsrGraph, EdgeMask};
 use crate::Cost;
@@ -57,6 +65,23 @@ impl SearchStats {
 /// Former name of [`SearchStats`], kept for the experiment tables and
 /// downstream callers.
 pub type DijkstraStats = SearchStats;
+
+/// A lower bound on the remaining cost to one target, shared by the
+/// search-graph nodes that stand for one physical node: node `v`'s
+/// bound is `h[node_of[v]]`.
+///
+/// The bound must be *consistent* — `h(u) ≤ c(u, v) + h(v)` on every
+/// edge the search may relax, and `0` at the target — or the keys of a
+/// monotone queue go backwards (the radix heap panics) and a truncated
+/// run may settle the target too early. `Cost::INFINITY` marks a node
+/// that cannot reach the target; the search never queues it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Potential<'a> {
+    /// Physical node of each search-graph node.
+    pub(crate) node_of: &'a [u32],
+    /// Bound per physical node.
+    pub(crate) h: &'a [Cost],
+}
 
 /// A shortest-path tree: per-node distance and parent pointers.
 #[derive(Debug, Clone)]
@@ -175,7 +200,7 @@ impl DijkstraWorkspace {
         source: usize,
         queue: &mut Q,
     ) {
-        self.run_inner(graph, source, queue, None, None);
+        self.run_inner(graph, source, queue, None, None, None);
     }
 
     /// Runs Dijkstra from `source`, skipping edges whose dense index is
@@ -197,7 +222,7 @@ impl DijkstraWorkspace {
         queue: &mut Q,
         mask: &EdgeMask,
     ) {
-        self.run_inner(graph, source, queue, Some(mask), None);
+        self.run_inner(graph, source, queue, Some(mask), None, None);
     }
 
     /// Like [`run_masked`](Self::run_masked) but stops as soon as
@@ -218,7 +243,41 @@ impl DijkstraWorkspace {
         mask: &EdgeMask,
         target: usize,
     ) {
-        self.run_inner(graph, source, queue, Some(mask), Some(target));
+        self.run_inner(graph, source, queue, Some(mask), Some(target), None);
+    }
+
+    /// Goal-directed [`run_masked_to`](Self::run_masked_to): the queue is
+    /// keyed by `g + h` for the consistent lower bound `potential`, and
+    /// nodes whose bound is infinite are never queued.
+    ///
+    /// `dist[target]` and the parent chain behind it are exactly those
+    /// of the unguided run up to ties among equal-cost paths; the
+    /// search settles only the nodes whose `g + h` is below the target's
+    /// distance (plus ties), rather than every node closer to `source`.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`run_masked_to`](Self::run_masked_to) does. An
+    /// inconsistent potential makes a monotone queue panic on a
+    /// backwards key.
+    // wdm-lint: hot-path
+    pub(crate) fn run_masked_guided_to<Q: IndexedPriorityQueue<Cost>>(
+        &mut self,
+        graph: &CsrGraph,
+        source: usize,
+        queue: &mut Q,
+        mask: &EdgeMask,
+        target: usize,
+        potential: Potential<'_>,
+    ) {
+        self.run_inner(
+            graph,
+            source,
+            queue,
+            Some(mask),
+            Some(target),
+            Some(potential),
+        );
     }
 
     /// Like [`run`](Self::run) but stops as soon as `target` is settled
@@ -232,7 +291,7 @@ impl DijkstraWorkspace {
         queue: &mut Q,
         target: usize,
     ) {
-        self.run_inner(graph, source, queue, None, Some(target));
+        self.run_inner(graph, source, queue, None, Some(target), None);
     }
 
     // wdm-lint: hot-path
@@ -243,6 +302,7 @@ impl DijkstraWorkspace {
         queue: &mut Q,
         mask: Option<&EdgeMask>,
         until: Option<usize>,
+        potential: Option<Potential<'_>>,
     ) {
         let n = graph.node_count();
         assert!(source < n, "source {source} out of range");
@@ -254,16 +314,26 @@ impl DijkstraWorkspace {
         if let Some(mask) = mask {
             assert_eq!(mask.len(), graph.edge_count(), "one mask bit per edge");
         }
+        if let Some(p) = potential {
+            assert_eq!(p.node_of.len(), n, "one potential slot per node");
+        }
         self.reset(n);
         self.source = source;
         queue.clear();
+        // Unguided runs key by `g` alone (h ≡ 0).
+        let h = |v: usize| potential.map_or(Cost::ZERO, |p| p.h[p.node_of[v] as usize]);
 
         self.dist[source] = Cost::ZERO;
-        queue.push(source, Cost::ZERO);
-        self.stats.pushes += 1;
+        let source_key = h(source);
+        if source_key.is_finite() {
+            queue.push(source, source_key);
+            self.stats.pushes += 1;
+        }
 
-        while let Some((u, du)) = queue.pop_min() {
-            debug_assert_eq!(du, self.dist[u]);
+        while let Some((u, key)) = queue.pop_min() {
+            // The queue holds g + h; the arena holds g.
+            let du = self.dist[u];
+            debug_assert_eq!(key, du + h(u));
             self.stats.settled += 1;
             if until == Some(u) {
                 break;
@@ -277,10 +347,17 @@ impl DijkstraWorkspace {
                 }
                 self.stats.relaxed += 1;
                 let v = v as usize;
-                // A settled v has dist[v] <= du <= candidate, so it never
-                // passes this test: costs are non-negative.
+                // A settled v has dist[v] <= candidate, so it never
+                // passes this test: costs are non-negative and h is
+                // consistent, so keys pop in non-decreasing order.
                 let candidate = du + cost;
                 if candidate < self.dist[v] {
+                    // A node that cannot reach the target is never
+                    // queued (nor given a distance).
+                    let hv = h(v);
+                    if hv.is_infinite() {
+                        continue;
+                    }
                     // An unsettled node with a finite distance is already
                     // queued, so the improvement is a decrease-key; an
                     // infinite one means this is v's first insertion.
@@ -288,10 +365,10 @@ impl DijkstraWorkspace {
                     self.dist[v] = candidate;
                     self.parent[v] = Some((u, index));
                     if queued {
-                        queue.decrease_key(v, candidate);
+                        queue.decrease_key(v, candidate + hv);
                         self.stats.decrease_keys += 1;
                     } else {
-                        queue.push(v, candidate);
+                        queue.push(v, candidate + hv);
                         self.stats.pushes += 1;
                     }
                     self.stats.improved += 1;
@@ -646,6 +723,121 @@ mod tests {
             assert_eq!(ws.dist()[target], full.dist[target], "dist to {target}");
             assert!(ws.stats().settled <= full.stats.settled);
         }
+    }
+
+    /// `h[v]` = exact distance `v → target` on `g` (node ids are their
+    /// own physical nodes).
+    fn exact_potential(g: &CsrGraph, target: usize) -> Vec<Cost> {
+        (0..g.node_count())
+            .map(|v| dijkstra::<BinaryHeap<Cost>>(g, v).dist[target])
+            .collect()
+    }
+
+    #[test]
+    fn zero_potential_reproduces_unguided_run() {
+        let g = diamond();
+        let ids: Vec<u32> = (0..5).collect();
+        let zero = vec![Cost::ZERO; 5];
+        let mut masks = vec![EdgeMask::all_clear(g.edge_count())];
+        masks.push(EdgeMask::all_clear(g.edge_count()));
+        masks[1].set(0);
+        let mut plain = DijkstraWorkspace::new();
+        let mut guided = DijkstraWorkspace::new();
+        let mut queue: RadixHeap<Cost> = RadixHeap::with_capacity(g.node_count());
+        for mask in &masks {
+            for target in 0..g.node_count() {
+                plain.run_masked_to(&g, 0, &mut queue, mask, target);
+                let potential = Potential {
+                    node_of: &ids,
+                    h: &zero,
+                };
+                guided.run_masked_guided_to(&g, 0, &mut queue, mask, target, potential);
+                assert_eq!(guided.dist(), plain.dist(), "dist to {target}");
+                assert_eq!(guided.parent(), plain.parent(), "parent to {target}");
+                assert_eq!(guided.stats(), plain.stats(), "stats to {target}");
+            }
+        }
+        assert_eq!(guided.totals(), plain.totals());
+    }
+
+    #[test]
+    fn guided_run_settles_no_more_than_unguided() {
+        let g = diamond();
+        let ids: Vec<u32> = (0..5).collect();
+        let mask = EdgeMask::all_clear(g.edge_count());
+        let mut plain = DijkstraWorkspace::new();
+        let mut guided = DijkstraWorkspace::new();
+        let mut queue: RadixHeap<Cost> = RadixHeap::with_capacity(g.node_count());
+        for target in 0..g.node_count() {
+            let h = exact_potential(&g, target);
+            let potential = Potential {
+                node_of: &ids,
+                h: &h,
+            };
+            for source in 0..g.node_count() {
+                plain.run_masked_to(&g, source, &mut queue, &mask, target);
+                guided.run_masked_guided_to(&g, source, &mut queue, &mask, target, potential);
+                assert_eq!(
+                    guided.dist()[target],
+                    plain.dist()[target],
+                    "{source}->{target}"
+                );
+                assert!(
+                    guided.stats().settled <= plain.stats().settled,
+                    "{source}->{target}: guided {:?} vs plain {:?}",
+                    guided.stats(),
+                    plain.stats()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn infinite_potential_nodes_are_never_queued() {
+        // Toward 2, nodes 3 and 4 are dead ends (3 → 4 only). The plain
+        // run queues 3 (via 1 → 3) before settling 2; the guided run
+        // never gives it a distance.
+        let g = diamond();
+        let ids: Vec<u32> = (0..5).collect();
+        let mask = EdgeMask::all_clear(g.edge_count());
+        let h = exact_potential(&g, 2);
+        assert!(h[3].is_infinite() && h[4].is_infinite());
+        let mut ws = DijkstraWorkspace::new();
+        let mut queue: RadixHeap<Cost> = RadixHeap::with_capacity(g.node_count());
+        ws.run_masked_to(&g, 0, &mut queue, &mask, 2);
+        assert!(ws.dist()[3].is_finite());
+        let plain = ws.stats();
+        let potential = Potential {
+            node_of: &ids,
+            h: &h,
+        };
+        ws.run_masked_guided_to(&g, 0, &mut queue, &mask, 2, potential);
+        assert_eq!(ws.dist()[2], Cost::new(2));
+        assert!(ws.dist()[3].is_infinite(), "dead end was queued");
+        assert_eq!(ws.stats().pushes, plain.pushes - 1);
+        // A source that cannot reach the target is not queued either.
+        ws.run_masked_guided_to(&g, 3, &mut queue, &mask, 2, potential);
+        assert_eq!(ws.stats().settled, 0);
+        assert!(ws.dist()[2].is_infinite());
+    }
+
+    #[test]
+    #[should_panic(expected = "non-monotone")]
+    fn inconsistent_potential_trips_radix_monotonicity() {
+        // h(0) = 50 > c(0, 1) + h(1) = 1: node 0 pops at key 50, then 1 is
+        // pushed at key 1 — backwards, which the radix heap refuses.
+        let g = diamond();
+        let ids: Vec<u32> = (0..5).collect();
+        let mut h = exact_potential(&g, 4);
+        h[0] = Cost::new(50);
+        let mask = EdgeMask::all_clear(g.edge_count());
+        let mut ws = DijkstraWorkspace::new();
+        let mut queue: RadixHeap<Cost> = RadixHeap::with_capacity(g.node_count());
+        let potential = Potential {
+            node_of: &ids,
+            h: &h,
+        };
+        ws.run_masked_guided_to(&g, 0, &mut queue, &mask, 4, potential);
     }
 
     #[test]

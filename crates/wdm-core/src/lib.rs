@@ -86,7 +86,7 @@ mod route;
 mod survivability;
 /// Plain-text `.wdm` instance serialization.
 pub mod textfmt;
-/// The Theorem-1 construction verifier (checks M1–M7) for built `G_all`.
+/// The Theorem-1 construction verifier (checks M1–M8) for built `G_all`.
 pub mod verify;
 mod wavelength;
 

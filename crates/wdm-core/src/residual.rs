@@ -44,12 +44,29 @@
 //!
 //! [`PersistentAuxGraph`] bundles one of each behind the original
 //! single-threaded API, so existing callers are untouched.
+//!
+//! # Goal-directed search
+//!
+//! Every query searches toward one target `t`, so the kernel runs as A\*
+//! (`DijkstraWorkspace::run_masked_guided_to`) with the free-network
+//! lower bound `h(p)`: the cost of the cheapest `p → t` path in the
+//! physical graph when each link costs `w_min(e) = min_λ w(e, λ)`. Every
+//! aux node takes the bound of its physical node. `h` is consistent on
+//! every edge of `G_all` and of the per-λ graphs — a traversal edge costs
+//! `w(e, λ) ≥ w_min(e) ≥ h(u) − h(v)`, and gadget and tap edges stay
+//! inside one physical node at cost `≥ 0` — and busy masks and cuts only
+//! delete edges, so the bound never reads a mask and stays valid while
+//! other threads flip bits. The row for `t` is filled by one reverse
+//! Dijkstra the first time a query targets `t` (`8·n` bytes per requested
+//! target, `8·n²` at most) and kept for the state's lifetime; a
+//! conversion-policy change rebuilds the state and with it the rows.
 
 use crate::auxiliary::AuxiliaryGraph;
 use crate::csr::{CsrBuilder, CsrGraph, EdgeMask, EdgeRole};
-use crate::dijkstra::DijkstraWorkspace;
+use crate::dijkstra::{DijkstraWorkspace, Potential};
 use crate::{Cost, Hop, Semilightpath, Wavelength, WdmNetwork};
 use heaps::{IndexedPriorityQueue, RadixHeap};
+use std::sync::OnceLock;
 use wdm_graph::{LinkId, NodeId};
 
 /// One per-wavelength view of the physical topology: the subgraph of links
@@ -98,22 +115,36 @@ pub struct ResidualState {
     /// `(link, λ)`.
     aux_edge: Vec<Vec<(Wavelength, u32)>>,
     lambda: Vec<LambdaGraph>,
+    /// Physical node of each aux node: the potential's lookup on `G_all`.
+    node_of: Box<[u32]>,
+    /// Identity map: the per-λ graphs' nodes are the physical nodes.
+    phys_ids: Box<[u32]>,
+    /// The physical topology reversed, each link priced at its cheapest
+    /// wavelength; links carrying none are omitted.
+    reverse: CsrGraph,
+    /// Per target `t`, the potential row toward it, filled on first use
+    /// (see [`potential`](Self::potential)).
+    rows: Vec<OnceLock<Box<[Cost]>>>,
 }
 
 /// The per-thread half: a reusable [`DijkstraWorkspace`]+heap pair and
 /// lazily sized probe masks, so that after warm-up a request costs one
-/// heap-driven Dijkstra and zero structural work.
+/// heap-driven search and zero structural work.
 ///
 /// The queue is a monotone [`RadixHeap`]: every cost is an integer and
-/// Dijkstra pops keys in non-decreasing order, so bucketing by the
-/// highest bit that differs from the last pop gives `O(1)` pushes and
-/// decrease-keys where a comparison heap pays `O(log n)` sifts. Every
-/// search through a scratch — routes, blocked-cause probes, per-λ
-/// searches — shares this one kernel, so a rebuilt structure with the same
-/// busy bits breaks ties exactly as the persistent one does.
+/// the goal-directed search pops keys `g + h` in non-decreasing order (the
+/// bound is consistent), so bucketing by the highest bit that differs
+/// from the last pop gives `O(1)` pushes and decrease-keys where a
+/// comparison heap pays `O(log n)` sifts. Every search through a scratch
+/// — routes, blocked-cause probes, per-λ searches — shares this one
+/// kernel, so a rebuilt structure with the same busy bits breaks ties
+/// exactly as the persistent one does.
 #[derive(Debug, Clone)]
 pub struct SearchScratch {
     ws: DijkstraWorkspace,
+    /// Workspace of the reverse searches that fill potential rows, kept
+    /// apart so their work stays out of the routing totals.
+    row_ws: DijkstraWorkspace,
     heap: RadixHeap<Cost>,
     /// Mask over the aux graph used by the free-network probes: all
     /// clear between calls, zero-length until first use.
@@ -134,6 +165,7 @@ impl SearchScratch {
         let cap = state.aux.graph().node_count().max(n_phys).max(1);
         SearchScratch {
             ws: DijkstraWorkspace::with_capacity(cap),
+            row_ws: DijkstraWorkspace::with_capacity(n_phys),
             heap: RadixHeap::with_capacity(cap),
             probe_aux: EdgeMask::all_clear(0),
             probe_lambda: Vec::new(),
@@ -216,10 +248,42 @@ impl ResidualState {
             });
         }
 
+        // The potential's inputs: aux node → physical node, and the
+        // reversed topology at w_min(e) = min_λ w(e, λ).
+        let to_u32 = |i: usize| {
+            let Ok(i) = u32::try_from(i) else {
+                unreachable!("node ids fit in u32 handles")
+            };
+            i
+        };
+        let node_of = (0..g.node_count())
+            .map(|i| to_u32(aux.kind(i).node().index()))
+            .collect();
+        let phys_ids = (0..n).map(to_u32).collect();
+        let mut reverse = CsrBuilder::new(n);
+        for (e, l) in base.graph().links() {
+            let cheapest = base.wavelengths_on(e).iter().min_by_key(|&(_, c)| c);
+            if let Some((wavelength, w_min)) = cheapest {
+                reverse.add_edge(
+                    l.head().index(),
+                    l.tail().index(),
+                    w_min,
+                    EdgeRole::Traversal {
+                        link: e,
+                        wavelength,
+                    },
+                );
+            }
+        }
+
         ResidualState {
             mask: EdgeMask::all_clear(g.edge_count()),
             aux_edge,
             lambda,
+            node_of,
+            phys_ids,
+            reverse: reverse.build(),
+            rows: (0..n).map(|_| OnceLock::new()).collect(),
             aux,
         }
     }
@@ -227,6 +291,35 @@ impl ResidualState {
     /// The persistent `G_all` structure.
     pub fn aux(&self) -> &AuxiliaryGraph {
         &self.aux
+    }
+
+    /// The goal-directed search's lower bound toward `t`: `h[p]` is the
+    /// cost of the cheapest `p → t` path when every resource is free and
+    /// each link costs its cheapest wavelength (`Cost::INFINITY` when
+    /// `p` cannot reach `t` at all). Filled by one reverse Dijkstra on
+    /// the first query toward `t` and kept for the state's lifetime;
+    /// debug builds check each row against check M8 of
+    /// [`crate::verify`] when it is filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is out of range.
+    pub fn potential(&self, scratch: &mut SearchScratch, t: NodeId) -> &[Cost] {
+        self.rows[t.index()].get_or_init(|| {
+            scratch
+                .row_ws
+                .run(&self.reverse, t.index(), &mut scratch.heap);
+            let row: Box<[Cost]> = scratch.row_ws.dist().into();
+            #[cfg(debug_assertions)]
+            {
+                let violations = crate::verify::verify_potential_row(&self.aux, t, &row);
+                assert!(
+                    violations.is_empty(),
+                    "potential row toward {t}: {violations:?}"
+                );
+            }
+            row
+        })
     }
 
     /// The base network's global wavelength count `k`.
@@ -344,9 +437,11 @@ impl ResidualState {
     }
 
     /// Cheapest semilightpath `s → t` on the residual network — the
-    /// Theorem-1 query answered by one masked Dijkstra over the persistent
-    /// `G_all`, with no construction and no allocation beyond the returned
-    /// path. `s == t` yields the empty path; `None` means blocked.
+    /// Theorem-1 query answered by one masked search over the persistent
+    /// `G_all`, goal-directed by [`potential`](Self::potential), with no
+    /// construction and no allocation beyond the returned path (and the
+    /// potential row, the first time `t` is targeted). `s == t` yields
+    /// the empty path; `None` means blocked.
     ///
     /// Costs (and blocked verdicts) are identical to routing on a freshly
     /// rebuilt residual `G_{s,t}`; see the module docs for the argument.
@@ -366,12 +461,17 @@ impl ResidualState {
         }
         let (source, _) = self.aux.all_pairs_terminals(s);
         let (_, sink) = self.aux.all_pairs_terminals(t);
-        scratch.ws.run_masked_to(
+        let h = self.potential(scratch, t);
+        scratch.ws.run_masked_guided_to(
             self.aux.graph(),
             source,
             &mut scratch.heap,
             &self.mask,
             sink,
+            Potential {
+                node_of: &self.node_of,
+                h,
+            },
         );
         self.aux
             .extract_semilightpath_from(scratch.ws.dist(), scratch.ws.parent(), sink)
@@ -414,12 +514,17 @@ impl ResidualState {
         }
         let (source, _) = self.aux.all_pairs_terminals(s);
         let (_, sink) = self.aux.all_pairs_terminals(t);
-        scratch.ws.run_masked_to(
+        let h = self.potential(scratch, t);
+        scratch.ws.run_masked_guided_to(
             self.aux.graph(),
             source,
             &mut scratch.heap,
             &scratch.probe_aux,
             sink,
+            Potential {
+                node_of: &self.node_of,
+                h,
+            },
         );
         let reachable = scratch.ws.dist()[sink].is_finite();
         for link in excluded {
@@ -459,6 +564,10 @@ impl ResidualState {
                 .map(|lg| EdgeMask::all_clear(lg.graph.edge_count()))
                 .collect();
         }
+        let potential = Potential {
+            node_of: &self.phys_ids,
+            h: self.potential(scratch, t),
+        };
         for (lg, probe) in self.lambda.iter().zip(&mut scratch.probe_lambda) {
             for link in excluded {
                 let e = lg.edge_of_link[link.index()];
@@ -466,9 +575,14 @@ impl ResidualState {
                     probe.set(e as usize);
                 }
             }
-            scratch
-                .ws
-                .run_masked_to(&lg.graph, s.index(), &mut scratch.heap, probe, t.index());
+            scratch.ws.run_masked_guided_to(
+                &lg.graph,
+                s.index(),
+                &mut scratch.heap,
+                probe,
+                t.index(),
+                potential,
+            );
             let reachable = scratch.ws.dist()[t.index()].is_finite();
             for link in excluded {
                 let e = lg.edge_of_link[link.index()];
@@ -502,9 +616,18 @@ impl ResidualState {
             return None;
         }
         let lg = &self.lambda[lambda.index()];
-        scratch
-            .ws
-            .run_masked_to(&lg.graph, s.index(), &mut scratch.heap, &lg.mask, t.index());
+        let h = self.potential(scratch, t);
+        scratch.ws.run_masked_guided_to(
+            &lg.graph,
+            s.index(),
+            &mut scratch.heap,
+            &lg.mask,
+            t.index(),
+            Potential {
+                node_of: &self.phys_ids,
+                h,
+            },
+        );
         let total = scratch.ws.dist()[t.index()];
         if total.is_infinite() {
             return None;

@@ -1,4 +1,4 @@
-//! The Theorem-1 construction verifier (checks **M1–M7**).
+//! The Theorem-1 construction verifier (checks **M1–M8**).
 //!
 //! Verifies, without running any search, that a built `G_all`
 //! ([`AuxiliaryGraph::for_all_pairs`]) has exactly the structure
@@ -17,7 +17,12 @@
 //!   complete, and [`PersistentAuxGraph`] busy flips are involutions with
 //!   release;
 //! * **M7** — the Restriction 1/2 gate agrees with an independent
-//!   recomputation straight off the link table.
+//!   recomputation straight off the link table;
+//! * **M8** — every goal-directed search potential row of
+//!   [`ResidualState`] is consistent on every aux edge
+//!   (`h(u) ≤ c(u, v) + h(v)`) and equals the free-network distance to
+//!   its target with each link at its cheapest wavelength, recomputed by
+//!   Bellman–Ford straight off the link table.
 //!
 //! The verifier is an oracle independent of the construction it checks:
 //! Λ-sets, closed-form counts, gadget costs and the Restriction gates are
@@ -27,17 +32,18 @@
 //! built structure — so tests can corrupt a view (drop a gadget edge,
 //! point a cross-index at the wrong edge) and assert the specific check
 //! fires. Debug builds of the provisioning engines run
-//! [`verify_network`] on every network they route on; `wdm-lint`
+//! [`verify_network`] on every network they route on, and debug builds of
+//! [`ResidualState`] check each potential row as they fill it; `wdm-lint`
 //! reports the same checks as its `M*` rules.
 
 use crate::csr::EdgeRole;
 use crate::{
-    restrictions, AuxNodeKind, AuxStats, AuxiliaryGraph, Cost, PersistentAuxGraph, Wavelength,
-    WdmNetwork,
+    restrictions, AuxNodeKind, AuxStats, AuxiliaryGraph, Cost, PersistentAuxGraph, ResidualState,
+    SearchScratch, Wavelength, WdmNetwork,
 };
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
-use wdm_graph::LinkId;
+use wdm_graph::{LinkId, NodeId};
 
 /// Which construction invariant a [`Violation`] breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,6 +68,10 @@ pub enum Check {
     /// M7 — the Restriction 1/2 gate (`restrictions.rs` fast-path
     /// preconditions) disagrees with an independent recomputation.
     RestrictionGate,
+    /// M8 — a goal-directed search potential row is inconsistent on an
+    /// aux edge, or differs from the free-network distance to its target
+    /// at each link's cheapest wavelength.
+    PotentialConsistency,
 }
 
 impl Check {
@@ -75,10 +85,11 @@ impl Check {
             Check::TerminalShape => "terminal_shape",
             Check::MaskIndex => "mask_index",
             Check::RestrictionGate => "restriction_gate",
+            Check::PotentialConsistency => "potential_consistency",
         }
     }
 
-    /// Short display code, `M1`..`M7`.
+    /// Short display code, `M1`..`M8`.
     pub fn code(self) -> &'static str {
         match self {
             Check::Theorem1NodeCount => "M1",
@@ -88,6 +99,7 @@ impl Check {
             Check::TerminalShape => "M5",
             Check::MaskIndex => "M6",
             Check::RestrictionGate => "M7",
+            Check::PotentialConsistency => "M8",
         }
     }
 
@@ -101,6 +113,9 @@ impl Check {
             Check::TerminalShape => "super-source/sink taps are zero-cost and one-sided",
             Check::MaskIndex => "EdgeMask/CSR cross-index integrity and busy-flip involution",
             Check::RestrictionGate => "Restriction 1/2 gates match independent recomputation",
+            Check::PotentialConsistency => {
+                "search potential rows are consistent and exact at each link's cheapest wavelength"
+            }
         }
     }
 }
@@ -707,12 +722,144 @@ pub fn verify_mask_involution(network: &WdmNetwork) -> Vec<Violation> {
     out
 }
 
+/// M8 for one potential row ([`ResidualState::potential`]) of a state
+/// built on `network`: `row` must be consistent on every edge of `view`
+/// (`h(u) ≤ c(u, v) + h(v)` between the edge's physical nodes) and equal,
+/// entry for entry, to the cheapest free `p → target` cost with every
+/// link at its cheapest wavelength. That distance is recomputed here by
+/// Bellman–Ford straight off the link table, never by the reverse
+/// Dijkstra that filled the row.
+pub fn verify_potential(
+    view: &ModelView,
+    network: &WdmNetwork,
+    target: NodeId,
+    row: &[Cost],
+) -> Vec<Violation> {
+    let links: Vec<(usize, usize, Cost)> = network
+        .graph()
+        .links()
+        .flat_map(|(e, l)| {
+            let (u, v) = (l.tail().index(), l.head().index());
+            network
+                .wavelengths_on(e)
+                .iter()
+                .map(move |(_, c)| (u, v, c))
+        })
+        .collect();
+    let edges = view.edges.iter().map(|e| {
+        let phys = |i: usize| view.nodes.get(i).map_or(usize::MAX, |k| k.node().index());
+        (phys(e.source), phys(e.target), e.cost)
+    });
+    potential_violations(network.node_count(), &links, edges, target, row)
+}
+
+/// M8 as [`ResidualState`]'s debug builds run it on each row they fill,
+/// where the base network is not at hand: the links are read off `aux`'s
+/// traversal edges, which M4 ties to the link table.
+#[cfg(debug_assertions)]
+pub(crate) fn verify_potential_row(
+    aux: &AuxiliaryGraph,
+    target: NodeId,
+    row: &[Cost],
+) -> Vec<Violation> {
+    let g = aux.graph();
+    let phys = |v: usize| aux.kind(v).node().index();
+    let (mut links, mut edges) = (Vec::new(), Vec::new());
+    for i in 0..g.edge_count() {
+        let (u, e) = g.edge(i);
+        let edge = (phys(u), phys(e.target), e.cost);
+        if matches!(e.role, EdgeRole::Traversal { .. }) {
+            links.push(edge);
+        }
+        edges.push(edge);
+    }
+    potential_violations(aux.stats().n, &links, edges.into_iter(), target, row)
+}
+
+/// The M8 core. `links` are physical `(tail, head, cost)` triples, one per
+/// (link, λ) — the minimum over λ falls out of the relaxation — and
+/// `edges` are the aux edges with their endpoints mapped to physical
+/// nodes.
+fn potential_violations(
+    n: usize,
+    links: &[(usize, usize, Cost)],
+    edges: impl Iterator<Item = (usize, usize, Cost)>,
+    target: NodeId,
+    row: &[Cost],
+) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let t = target.index();
+    let mut exact = vec![Cost::INFINITY; n];
+    let (Some(at_target), true) = (exact.get_mut(t), row.len() == n) else {
+        out.push(Violation::new(
+            Check::PotentialConsistency,
+            format!(
+                "potential row toward node {t} has {} entries for {n} nodes",
+                row.len()
+            ),
+        ));
+        return out;
+    };
+    *at_target = Cost::ZERO;
+    // Bellman–Ford toward t: relax every link backwards until nothing
+    // improves (at most n rounds, all costs being non-negative).
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &(u, v, c) in links {
+            let (Some(&hv), Some(&hu)) = (exact.get(v), exact.get(u)) else {
+                continue;
+            };
+            if hv + c < hu {
+                exact[u] = hv + c;
+                changed = true;
+            }
+        }
+    }
+    for (p, (&got, &want)) in row.iter().zip(&exact).enumerate() {
+        if got != want {
+            out.push(Violation::new(
+                Check::PotentialConsistency,
+                format!(
+                    "h({p}) toward node {t} is {got}, but the cheapest free path at \
+                     w_min costs {want}"
+                ),
+            ));
+        }
+    }
+    for (u, v, c) in edges {
+        let (Some(&hu), Some(&hv)) = (row.get(u), row.get(v)) else {
+            out.push(Violation::new(
+                Check::PotentialConsistency,
+                format!("aux edge between physical nodes {u} → {v} has no potential entry"),
+            ));
+            continue;
+        };
+        if hu > c + hv {
+            out.push(Violation::new(
+                Check::PotentialConsistency,
+                format!(
+                    "potential toward node {t} is inconsistent on an aux edge of node {u} → \
+                     node {v}: h = {hu} exceeds cost {c} + h = {hv}"
+                ),
+            ));
+        }
+    }
+    out
+}
+
 /// Runs the full model verification for one network: builds `G_all`,
-/// verifies the extracted view statically, and checks mask involution.
+/// verifies the extracted view statically, checks mask involution, and
+/// checks the potential row toward every node (M8).
 pub fn verify_network(network: &WdmNetwork) -> Vec<Violation> {
-    let aux = AuxiliaryGraph::for_all_pairs(network);
-    let view = ModelView::capture(&aux, network);
+    let state = ResidualState::new(network);
+    let view = ModelView::capture(state.aux(), network);
     let mut violations = verify_view(&view, network);
     violations.extend(verify_mask_involution(network));
+    let mut scratch = SearchScratch::for_state(&state);
+    for t in network.graph().nodes() {
+        let row = state.potential(&mut scratch, t);
+        violations.extend(verify_potential(&view, network, t, row));
+    }
     violations
 }

@@ -9,7 +9,9 @@ use rand::SeedableRng;
 use std::collections::BTreeSet;
 use wdm_core::csr::EdgeRole;
 use wdm_core::instance::{random_network, Availability, ConversionSpec, InstanceConfig};
-use wdm_core::verify::{verify_mask_involution, verify_network, verify_view, Check, ModelView};
+use wdm_core::verify::{
+    verify_mask_involution, verify_network, verify_potential, verify_view, Check, ModelView,
+};
 use wdm_core::{
     paper_example, AuxNodeKind, AuxiliaryGraph, ConversionMatrix, ConversionPolicy, Cost, Hop,
     Semilightpath, Wavelength, WavelengthSet, WdmNetwork,
@@ -399,6 +401,45 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// M8 soundness and completeness: a state's potential row verifies
+    /// clean, and raising any one finite entry fires M8 — as an inexact
+    /// entry always, and as an inconsistent aux edge too when the raised
+    /// node is not the target (its first link on a cheapest path to the
+    /// target becomes too cheap for the bound).
+    #[test]
+    fn raising_any_potential_entry_fires_m8(
+        seed in 0u64..200,
+        n in 4usize..14,
+        k in 1usize..4,
+        victim in 0usize..10_000,
+        raise in 1u64..1_000,
+    ) {
+        use wdm_core::{ResidualState, SearchScratch};
+
+        let network = instance(seed, n, k, 0.7);
+        let state = ResidualState::new(&network);
+        let mut scratch = SearchScratch::for_state(&state);
+        let view = ModelView::capture(state.aux(), &network);
+        let target = wdm_graph::NodeId::new(victim % n);
+        let mut row = state.potential(&mut scratch, target).to_vec();
+        prop_assert_eq!(verify_potential(&view, &network, target, &row), vec![]);
+        let finite: Vec<usize> = (0..n).filter(|&p| row[p].is_finite()).collect();
+        let at = finite[(victim / n) % finite.len()];
+        let raised = row[at].value().expect("finite") + raise;
+        row[at] = Cost::new(raised);
+        let violations = verify_potential(&view, &network, target, &row);
+        prop_assert!(
+            violations.iter().any(|v| v.check == Check::PotentialConsistency),
+            "expected M8 in {violations:?}"
+        );
+        if at != target.index() {
+            prop_assert!(
+                violations.iter().any(|v| v.message.contains("inconsistent")),
+                "expected an inconsistent edge in {violations:?}"
+            );
+        }
+    }
 
     /// The atomic-mask half of M6, under interleaved shared flips: a
     /// seeded sequence of `try_acquire_shared` / `release_shared` calls

@@ -9,6 +9,11 @@
 //! physically deleting the busy and cut resources. Instances mix every
 //! conversion policy, zero-cost links and costs up to `2^40`, so ties and
 //! the radix heap's high buckets both occur.
+//!
+//! The kernel is goal-directed by a free-network lower bound, so a wrong
+//! bound shows only where the search has room to go astray: the second
+//! property runs directed instances of 16–48 nodes with asymmetric link
+//! costs and 40–90% of the resources busy, on sampled pairs.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -110,6 +115,137 @@ fn assert_valid(p: &Semilightpath, net: &WdmNetwork, s: NodeId, t: NodeId, what:
     }
 }
 
+/// One instance with its busy and cut resources applied to a
+/// `ResidualState`, and the physically restricted networks the oracles
+/// route on.
+struct Case {
+    net: WdmNetwork,
+    cut: Vec<LinkId>,
+    busy: Vec<Vec<bool>>,
+    state: ResidualState,
+    /// The base minus every busy (and cut) resource.
+    residual: WdmNetwork,
+    /// The base minus the cut links.
+    free_uncut: WdmNetwork,
+}
+
+fn case(seed: u64, n: usize, k: usize, busy_pct: u32, cut_count: usize) -> Case {
+    let net = instance(seed, n, k);
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
+    let m = net.link_count();
+    let cut: Vec<LinkId> = (0..cut_count.min(m))
+        .map(|_| LinkId::new(rng.gen_range(0..m)))
+        .collect();
+    let busy: Vec<Vec<bool>> = (0..m)
+        .map(|l| {
+            (0..k)
+                .map(|_| cut.contains(&LinkId::new(l)) || rng.gen_range(0..100u32) < busy_pct)
+                .collect()
+        })
+        .collect();
+    let mut state = ResidualState::new(&net);
+    for (l, per_link) in busy.iter().enumerate() {
+        for (w, _) in per_link.iter().enumerate().filter(|(_, &b)| b) {
+            state.set_busy(LinkId::new(l), Wavelength::new(w), true);
+        }
+    }
+    let residual = net.restrict(|l, w| !busy[l.index()][w.index()]);
+    let free_uncut = net.restrict(|l, _| !cut.contains(&l));
+    Case {
+        net,
+        cut,
+        busy,
+        state,
+        residual,
+        free_uncut,
+    }
+}
+
+/// Checks every query of the residual kernel for `s → t` against the
+/// oracles: the optimal route, both free-network probes with and without
+/// the cut, and the route on each wavelength.
+fn check_pair(
+    c: &Case,
+    scratch: &mut SearchScratch,
+    s: NodeId,
+    t: NodeId,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let (net, state, k) = (&c.net, &c.state, c.net.k());
+    let is_cut = |l: LinkId| c.cut.contains(&l);
+
+    // Optimal route on the residual network: same cost and blocked
+    // verdict as the Theorem-1 router on a rebuilt G_{s,t}, and a valid
+    // path.
+    let got = state.route_optimal(scratch, s, t);
+    let want = route(&c.residual, HeapKind::Fibonacci, s, t);
+    prop_assert_eq!(
+        got.as_ref().map(Semilightpath::cost),
+        want.as_ref().map(Semilightpath::cost),
+        "{}: optimal cost",
+        what
+    );
+    if let Some(p) = &got {
+        assert_valid(p, &c.residual, s, t, what);
+    }
+
+    // Blocked-cause probes against binary-heap searches on the free
+    // network with the cut links deleted.
+    prop_assert_eq!(
+        state.reachable_when_free(scratch, s, t, &[]),
+        route(net, HeapKind::Binary, s, t).is_some(),
+        "{}: reachable_when_free",
+        what
+    );
+    prop_assert_eq!(
+        state.reachable_when_free(scratch, s, t, &c.cut),
+        route(&c.free_uncut, HeapKind::Binary, s, t).is_some(),
+        "{}: reachable_when_free excluding the cut",
+        what
+    );
+    let single_lambda = |w: usize, keep: &dyn Fn(LinkId) -> bool| {
+        let only_w = net.restrict(|l, lam| lam.index() == w && keep(l));
+        route(&only_w, HeapKind::Binary, s, t)
+    };
+    let any_lambda =
+        |keep: &dyn Fn(LinkId) -> bool| s != t && (0..k).any(|w| single_lambda(w, keep).is_some());
+    prop_assert_eq!(
+        state.reachable_when_free_single_wavelength(scratch, s, t, &[]),
+        any_lambda(&|_| true),
+        "{}: single-λ probe",
+        what
+    );
+    prop_assert_eq!(
+        state.reachable_when_free_single_wavelength(scratch, s, t, &c.cut),
+        any_lambda(&|l| !is_cut(l)),
+        "{}: single-λ excluding probe",
+        what
+    );
+
+    // Per-λ routes on the residual network.
+    for w in 0..k {
+        let lam = Wavelength::new(w);
+        let got = state.route_single_wavelength(scratch, s, t, lam);
+        let want = if s == t {
+            None
+        } else {
+            single_lambda(w, &|l| !c.busy[l.index()][lam.index()])
+        };
+        prop_assert_eq!(
+            got.as_ref().map(Semilightpath::cost),
+            want.as_ref().map(Semilightpath::cost),
+            "{}: λ{} route cost",
+            what,
+            w
+        );
+        if let Some(p) = &got {
+            assert_valid(p, &c.residual, s, t, what);
+            prop_assert!(p.hops().iter().all(|h| h.wavelength == lam));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -121,99 +257,34 @@ proptest! {
         busy_pct in 0u32..70,
         cut_count in 0usize..3,
     ) {
-        let net = instance(seed, n, k);
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
-        let m = net.link_count();
-        let cut: Vec<LinkId> = (0..cut_count.min(m))
-            .map(|_| LinkId::new(rng.gen_range(0..m)))
-            .collect();
-        let is_cut = |l: LinkId| cut.contains(&l);
-        let busy: Vec<Vec<bool>> = (0..m)
-            .map(|l| {
-                (0..k)
-                    .map(|_| is_cut(LinkId::new(l)) || rng.gen_range(0..100u32) < busy_pct)
-                    .collect()
-            })
-            .collect();
-
-        let mut state = ResidualState::new(&net);
-        for (l, per_link) in busy.iter().enumerate() {
-            for (w, _) in per_link.iter().enumerate().filter(|(_, &b)| b) {
-                state.set_busy(LinkId::new(l), Wavelength::new(w), true);
+        let c = case(seed, n, k, busy_pct, cut_count);
+        let mut scratch = SearchScratch::for_state(&c.state);
+        for s in c.net.graph().nodes() {
+            for t in c.net.graph().nodes() {
+                check_pair(&c, &mut scratch, s, t, &format!("seed {seed} {s}->{t}"))?;
             }
         }
-        let mut scratch = SearchScratch::for_state(&state);
-        let residual = net.restrict(|l, w| !busy[l.index()][w.index()]);
-        let free_uncut = net.restrict(|l, _| !is_cut(l));
+    }
+}
 
-        for s in net.graph().nodes() {
-            for t in net.graph().nodes() {
-                let what = format!("seed {seed} {s}->{t}");
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-                // Optimal route on the residual network: same cost and
-                // blocked verdict as the Theorem-1 router on a rebuilt
-                // G_{s,t}, and a valid path.
-                let got = state.route_optimal(&mut scratch, s, t);
-                let want = route(&residual, HeapKind::Fibonacci, s, t);
-                prop_assert_eq!(
-                    got.as_ref().map(Semilightpath::cost),
-                    want.as_ref().map(Semilightpath::cost),
-                    "{}: optimal cost", what
-                );
-                if let Some(p) = &got {
-                    assert_valid(p, &residual, s, t, &what);
-                }
-
-                // Blocked-cause probes against binary-heap searches on the
-                // free network with the cut links deleted.
-                prop_assert_eq!(
-                    state.reachable_when_free(&mut scratch, s, t, &[]),
-                    route(&net, HeapKind::Binary, s, t).is_some(),
-                    "{}: reachable_when_free", what
-                );
-                prop_assert_eq!(
-                    state.reachable_when_free(&mut scratch, s, t, &cut),
-                    route(&free_uncut, HeapKind::Binary, s, t).is_some(),
-                    "{}: reachable_when_free excluding the cut", what
-                );
-                let single_lambda = |w: usize, keep: &dyn Fn(LinkId) -> bool| {
-                    let only_w = net.restrict(|l, lam| lam.index() == w && keep(l));
-                    route(&only_w, HeapKind::Binary, s, t)
-                };
-                let any_lambda = |keep: &dyn Fn(LinkId) -> bool| {
-                    s != t && (0..k).any(|w| single_lambda(w, keep).is_some())
-                };
-                prop_assert_eq!(
-                    state.reachable_when_free_single_wavelength(&mut scratch, s, t, &[]),
-                    any_lambda(&|_| true),
-                    "{}: single-λ probe", what
-                );
-                prop_assert_eq!(
-                    state.reachable_when_free_single_wavelength(&mut scratch, s, t, &cut),
-                    any_lambda(&|l| !is_cut(l)),
-                    "{}: single-λ excluding probe", what
-                );
-
-                // Per-λ routes on the residual network.
-                for w in 0..k {
-                    let lam = Wavelength::new(w);
-                    let got = state.route_single_wavelength(&mut scratch, s, t, lam);
-                    let want = if s == t {
-                        None
-                    } else {
-                        single_lambda(w, &|l| !busy[l.index()][lam.index()])
-                    };
-                    prop_assert_eq!(
-                        got.as_ref().map(Semilightpath::cost),
-                        want.as_ref().map(Semilightpath::cost),
-                        "{}: λ{} route cost", what, w
-                    );
-                    if let Some(p) = &got {
-                        assert_valid(p, &residual, s, t, &what);
-                        prop_assert!(p.hops().iter().all(|h| h.wavelength == lam));
-                    }
-                }
-            }
+    #[test]
+    fn guided_kernel_matches_oracles_on_larger_instances(
+        seed in 0u64..1_000_000,
+        n in 16usize..49,
+        k in 1usize..5,
+        busy_pct in 40u32..91,
+        cut_count in 0usize..4,
+    ) {
+        let c = case(seed, n, k, busy_pct, cut_count);
+        let mut scratch = SearchScratch::for_state(&c.state);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xA57A);
+        for _ in 0..32 {
+            let s = NodeId::new(rng.gen_range(0..n));
+            let t = NodeId::new(rng.gen_range(0..n));
+            check_pair(&c, &mut scratch, s, t, &format!("seed {seed} n {n} {s}->{t}"))?;
         }
     }
 }

@@ -38,13 +38,13 @@ pub enum Rule {
     /// validate before publishes, publishes follow claims, seqlock reads
     /// revalidate.
     ProtocolOrder,
-    /// M1–M7 — a construction check of [`wdm_core::verify`] failed.
+    /// M1–M8 — a construction check of [`wdm_core::verify`] failed.
     Model(Check),
 }
 
 impl Rule {
     /// Every rule, in report order.
-    pub const ALL: [Rule; 14] = [
+    pub const ALL: [Rule; 15] = [
         Rule::UnsafeNeedsSafety,
         Rule::OrderingJustification,
         Rule::MissingDocs,
@@ -59,6 +59,7 @@ impl Rule {
         Rule::Model(Check::TerminalShape),
         Rule::Model(Check::MaskIndex),
         Rule::Model(Check::RestrictionGate),
+        Rule::Model(Check::PotentialConsistency),
     ];
 
     /// Stable machine name, used in JSON output and suppression comments.
@@ -75,7 +76,7 @@ impl Rule {
         }
     }
 
-    /// Short display code (`L3`..`L9`, `M1`..`M7`).
+    /// Short display code (`L3`..`L9`, `M1`..`M8`).
     pub fn code(self) -> &'static str {
         match self {
             Rule::UnsafeNeedsSafety => "L3",

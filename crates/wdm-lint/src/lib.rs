@@ -17,11 +17,12 @@
 //!   `// wdm-lint: cast-checked` sites, and seqlock/shard-claim protocol
 //!   conformance in files marked `// wdm-lint: protocol: seqlock`).
 //!
-//! [`model`] reports the construction checks **M1–M7** of
+//! [`model`] reports the construction checks **M1–M8** of
 //! [`wdm_core::verify`] (Theorem 1 node/edge-count formulas, bipartite
 //! conversion gadgets with zero-cost diagonals, traversal and terminal
-//! shape, mask cross-index integrity and involution, and the Restriction
-//! 1/2 gates) over `.wdm` instances. The verifier itself lives in
+//! shape, mask cross-index integrity and involution, the Restriction
+//! 1/2 gates, and the goal-directed search's potential rows) over `.wdm`
+//! instances. The verifier itself lives in
 //! `wdm-core`, beside the construction it checks, so runtime crates run
 //! it in debug builds without depending on this crate.
 //!
@@ -50,7 +51,7 @@ pub mod findings;
 pub mod graph;
 /// The comment/string-aware token lexer both tiers scan with.
 pub mod lexer;
-/// The construction checks (M1–M7) of `wdm_core::verify` as findings.
+/// The construction checks (M1–M8) of `wdm_core::verify` as findings.
 pub mod model;
 /// Tier-2 rules L6–L9 over the workspace call graph.
 pub mod rules_v2;

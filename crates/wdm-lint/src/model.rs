@@ -1,12 +1,12 @@
 //! The model engine: the construction checks of [`wdm_core::verify`]
-//! (M1–M7) reported as deny findings against an instance label.
+//! (M1–M8) reported as deny findings against an instance label.
 
 use crate::findings::Finding;
 use wdm_core::verify::{self, Violation};
 use wdm_core::WdmNetwork;
 
-/// Verifies `network`'s built `G_all` and busy-flip involution, labelling
-/// every violation with `instance`.
+/// Verifies `network`'s built `G_all`, busy-flip involution and search
+/// potential rows, labelling every violation with `instance`.
 pub fn verify_network(network: &WdmNetwork, instance: &str) -> Vec<Finding> {
     findings(verify::verify_network(network), instance)
 }
@@ -24,7 +24,9 @@ mod tests {
     use crate::Rule;
     use wdm_core::csr::EdgeRole;
     use wdm_core::verify::{Check, ModelView};
-    use wdm_core::{paper_example, AuxiliaryGraph, ConversionPolicy, Cost};
+    use wdm_core::{
+        paper_example, AuxiliaryGraph, ConversionPolicy, Cost, ResidualState, SearchScratch,
+    };
     use wdm_graph::DiGraph;
 
     /// The lint's findings for a (possibly corrupted) view.
@@ -153,6 +155,30 @@ mod tests {
                 .iter()
                 .any(|f| f.rule == Rule::Model(Check::TerminalShape)
                     && f.message.contains("expected 0")),
+            "{findings:?}"
+        );
+    }
+
+    #[test]
+    fn raised_potential_entry_fires_m8() {
+        let net = chain();
+        let state = ResidualState::new(&net);
+        let mut scratch = SearchScratch::for_state(&state);
+        let view = ModelView::capture(state.aux(), &net);
+        let target = 2.into();
+        let mut row = state.potential(&mut scratch, target).to_vec();
+        assert!(findings(verify::verify_potential(&view, &net, target, &row), "chain").is_empty());
+        // h(0) toward 2 is 20 (two links at 10); 25 overestimates.
+        row[0] = Cost::new(25);
+        let findings = findings(
+            verify::verify_potential(&view, &net, target, &row),
+            "mutated",
+        );
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.rule == Rule::Model(Check::PotentialConsistency)
+                    && f.message.contains("inconsistent")),
             "{findings:?}"
         );
     }
